@@ -94,16 +94,24 @@ def _selfdual_suite(d: dm.OrbitDatum) -> dm.CheckResult:
     table = klvmod.klv_table(d)
     problems = klvmod.verify_klv_table(table, d)
     if not problems:
-        # stability: C_w L_tau is again self-dual up to the combined twist
+        # Stability: C_w L_tau is again self-dual up to q^(l(w)+dim tau).
+        # Write C_w L_tau = sum_gamma c_gamma L_gamma.  The table has just
+        # passed verify_klv_table, so beta(L_gamma) = q^-dim(gamma) L_gamma,
+        # and the L_gamma are unitriangular over the m_gamma in basis order:
+        # supports lie below in the closure order, and the degree bound
+        # leaves no room for an off-diagonal entry within one orbit.  Being a
+        # basis, they make the dense test beta(C_w L_tau) q^(l(w)+dim tau)
+        # == C_w L_tau hold iff, for every gamma,
+        # bar(c_gamma) q^(l(w)+dim tau-dim gamma) == c_gamma.
         for w in d.coxeter.elements():
-            cols = hm.c_matrix_columns(d, w)
             for p in d.params:
-                vec = hm.matrix_apply(cols, table.column(p.id))
-                twist = LaurentPoly.monomial(1, w.length + p.dim)
-                if hm.beta(vec, d).scale(twist) != vec:
-                    problems.append(
-                        f"C[{d.coxeter.element_token(w)}] L[{p.id}] not self-dual"
-                    )
+                twist = w.length + p.dim
+                for gamma, c in klvmod.c_expansion(d, w, p.id).items():
+                    if c.bar().shift(twist - d.param_by_id[gamma].dim) != c:
+                        problems.append(
+                            f"C[{d.coxeter.element_token(w)}] L[{p.id}] not self-dual"
+                        )
+                        break
     return dm.CheckResult(
         "selfdual-basis", not problems,
         "; ".join(problems) if problems else f"{len(d.params)} columns verified",

@@ -312,6 +312,8 @@ def load_datum(source) -> OrbitDatum:
     for key in ("name", "coxeter", "orbits", "closure", "params", "actions", "poincare"):
         if key not in obj:
             raise DatumFormatError(f"missing top-level key {key!r}")
+    if not isinstance(obj["name"], str):
+        raise DatumFormatError("'name' must be a string")
 
     spec = obj["coxeter"]
     if not isinstance(spec, dict) or not ({"type", "cartan"} & set(spec)):
@@ -328,8 +330,10 @@ def load_datum(source) -> OrbitDatum:
     for i, o in enumerate(obj["orbits"]):
         try:
             info = OrbitInfo(id=o["id"], dim=int(o["dim"]), closed=bool(o["closed"]))
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise DatumFormatError(f"orbits[{i}]: bad entry ({exc})") from None
+        if not isinstance(info.id, str):
+            raise DatumFormatError(f"orbits[{i}]: id must be a string")
         if info.dim < 0:
             raise DatumFormatError(f"orbits[{i}]: negative dimension")
         if info.id in seen:
@@ -356,6 +360,10 @@ def load_datum(source) -> OrbitDatum:
             pid, porb, psys = p["id"], p["orbit"], p["local_system"]
         except KeyError as exc:
             raise DatumFormatError(f"params[{i}]: missing field {exc}") from None
+        if not all(isinstance(v, str) for v in (pid, porb, psys)):
+            raise DatumFormatError(
+                f"params[{i}]: id, orbit and local_system must be strings"
+            )
         if pid in seen_ids:
             raise DatumFormatError(f"params[{i}]: duplicate parameter id {pid!r}")
         if porb not in orbit_by_id:
@@ -406,6 +414,8 @@ def load_datum(source) -> OrbitDatum:
 
     costandard = None
     if "costandard" in obj:
+        if not isinstance(obj["costandard"], dict):
+            raise DatumFormatError("'costandard' must be an object keyed by parameter")
         costandard = {}
         for col, rows in obj["costandard"].items():
             if col not in param_ids:
@@ -429,6 +439,8 @@ def load_datum(source) -> OrbitDatum:
                 + ", ".join(sorted(missing))
             )
 
+    if not isinstance(obj["poincare"], dict):
+        raise DatumFormatError("'poincare' must be an object keyed by parameter")
     poincare = {}
     for pid, sobj in obj["poincare"].items():
         if pid not in param_ids:

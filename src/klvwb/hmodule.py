@@ -339,11 +339,16 @@ def c_matrix_columns(d: dm.OrbitDatum, w: CoxElt) -> dict[str, ModuleVector]:
     if col is not None:
         return col
     cw = kl_basis(d.coxeter).c(w)
-    col = {p.id: ModuleVector(d) for p in d.params}
+    sums: dict[str, dict[str, dict]] = {p.id: {} for p in d.params}
     for x, poly in cw.terms.items():
         tx = t_matrix_columns(d, x)
-        for pid in col:
-            col[pid] = col[pid] + tx[pid].scale(poly)
+        for pid, out in sums.items():
+            for row, entry in tx[pid].coords.items():
+                acc = out.get(row)
+                if acc is None:
+                    acc = out[row] = {}
+                ops.paccum(acc, entry._c, poly._c)
+    col = {pid: ModuleVector._raw(d, out) for pid, out in sums.items()}
     mats[w] = col
     return col
 

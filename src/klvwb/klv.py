@@ -20,7 +20,7 @@ from . import datum as dm
 from . import hmodule as hm
 from .coxeter import CoxElt
 from .errors import DatumError, NonGeometricDatum
-from .laurent import ONE, LaurentPoly, render_poly
+from .laurent import ONE, LaurentPoly, ops, render_poly
 
 ITERATION_FACTOR = 4
 
@@ -147,20 +147,42 @@ def c_expansion(d: dm.OrbitDatum, w, tau: str) -> dict[str, LaurentPoly]:
 
     Computed in the standard basis, then solved back through the
     unitriangular table, highest position first; no division occurs.
+    Each (w, tau) is expanded once per datum and memoized; callers get a
+    copy, so mutating the result cannot corrupt the memo.
     """
     table = klv_table(d)
     w = _as_element(d, w)
     if tau not in d.param_by_id:
         raise DatumError(f"unknown parameter {tau!r}")
-    cw_cols = hm.c_matrix_columns(d, w)
-    residual = hm.matrix_apply(cw_cols, table.column(tau))
+    memo = d._cache.setdefault("c_expansion", {})
+    out = memo.get((w, tau))
+    if out is None:
+        out = memo[(w, tau)] = _expand(d, table, w, tau)
+    return dict(out)
+
+
+def _expand(d: dm.OrbitDatum, table: KLVTable, w: CoxElt, tau: str):
+    residual = hm.matrix_apply(hm.c_matrix_columns(d, w), table.column(tau))
+    # matrix_apply hands back freshly built coefficient dicts, so the
+    # residual is reduced in place through them
+    acc = {pid: c._c for pid, c in residual.coords.items()}
     index = d.basis_index
     out: dict[str, LaurentPoly] = {}
-    while not residual.is_zero():
-        top = max(residual.coords, key=index.__getitem__)
-        c = residual.coords[top]
-        out[top] = c
-        residual = residual - table.column(top).scale(c)
+    while acc:
+        top = max(acc, key=index.__getitem__)
+        c = acc.pop(top)
+        out[top] = LaurentPoly._raw(c)
+        neg = ops.pneg(c)
+        # P[top, top] = 1, so subtracting c * L_top clears the top entry
+        for row, entry in table.column(top).coords.items():
+            if row == top:
+                continue
+            a = acc.get(row)
+            if a is None:
+                a = acc[row] = {}
+            ops.paccum(a, neg, entry._c)
+            if not a:
+                del acc[row]
     return out
 
 

@@ -196,6 +196,8 @@ _TERM_RE = re.compile(
 
 def parse_poly(text: str) -> LaurentPoly:
     """Parse the canonical rendering (also accepts '*' and whitespace)."""
+    if not isinstance(text, str):
+        raise DomainError(f"polynomial must be a string, got {text!r}")
     s = text.strip()
     if not s:
         raise DomainError("empty polynomial string")

@@ -5,6 +5,7 @@ import pytest
 
 from klvwb import datum as dm
 from klvwb.cli import main
+from klvwb.errors import DatumFormatError
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -34,6 +35,8 @@ def test_list_builtins(capsys):
             ["cexp", "--builtin", "sl2-T", "--word", "1", "--format", "csv"],
             "sl2T_cexp_s.csv",
         ),
+        (["check", "--builtin", "hecke-regular:G2", "--format", "csv"], "hrG2_check.csv"),
+        (["check", "--builtin", "hecke-regular:A3", "--format", "csv"], "hrA3_check.csv"),
     ],
 )
 def test_golden_outputs(tmp_path, argv, golden):
@@ -90,6 +93,36 @@ def test_validate_file_with_missing_row_exits_1(tmp_path, capsys):
     broken.write_text(json.dumps(obj), encoding="utf-8")
     assert main(["validate", "--datum", str(broken)]) == 1
     assert "invalid datum" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "where,value",
+    [
+        (("name",), 7),
+        (("orbits", 0, "dim"), "x"),
+        (("poincare",), []),
+        (("costandard",), []),
+        (("params", 0, "id"), ["p0"]),
+        (("params", 0, "orbit"), ["0"]),
+        (("params", 0, "local_system"), ["triv"]),
+    ],
+)
+def test_hostile_datum_is_rejected_cleanly(tmp_path, capsys, where, value):
+    obj = dm.builtin_datum("sl2-T").to_jsonable()
+    *parents, key = where
+    target = obj
+    for k in parents:
+        target = target[k]
+    target[key] = value
+    path = tmp_path / "hostile.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    with pytest.raises(DatumFormatError):
+        dm.load_datum(path.read_text(encoding="utf-8"))
+    assert main(["check", "--datum", str(path), "--format", "csv"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("klvwb: invalid datum:")
 
 
 def test_klv_missing_costandard_exits_2(tmp_path, capsys):

@@ -1,5 +1,8 @@
+import re
+
 import pytest
 
+from klvwb import checks
 from klvwb import datum as dm
 from klvwb import hecke
 from klvwb import hmodule as hm
@@ -115,6 +118,39 @@ def test_c_expansion_examples():
 def test_c_expansion_accepts_words():
     d = dm.builtin_datum("hecke-regular:A2")
     assert klv.c_expansion(d, [0], "e") == klv.c_expansion(d, d.coxeter.generator(0), "e")
+
+
+@pytest.mark.parametrize("name", ["hecke-regular:A3", "sl2-N"])
+def test_c_expansion_reconstructs_the_product(name):
+    d = dm.builtin_datum(name)
+    t = klv.klv_table(d)
+    for w in d.coxeter.elements():
+        cols = hm.c_matrix_columns(d, w)
+        for p in d.params:
+            total = hm.ModuleVector(d)
+            for gamma, c in klv.c_expansion(d, w, p.id).items():
+                total = total + t.column(gamma).scale(c)
+            assert total == hm.matrix_apply(cols, t.column(p.id)), (w, p.id)
+
+
+def test_c_expansion_result_does_not_alias_the_memo():
+    d = dm.builtin_datum("sl2-T")
+    s = d.coxeter.generator(0)
+    first = klv.c_expansion(d, s, "wt")
+    expected = dict(first)
+    first["p0"] = ONE
+    del first["wt"]
+    assert klv.c_expansion(d, s, "wt") == expected
+
+
+@pytest.mark.parametrize("name", ["sl2-T", "hecke-regular:A2"])
+def test_selfdual_suite_catches_a_non_self_dual_action(monkeypatch, name):
+    # T_s is not bar-invariant, so acting by T_w in place of C_w breaks stability
+    monkeypatch.setattr(hm, "c_matrix_columns", hm.t_matrix_columns)
+    report = checks.run_check_suites(dm.builtin_datum(name))
+    result = next(c for c in report.checks if c.name == "selfdual-basis")
+    assert not result.passed
+    assert re.search(r"C\[[^]]+\] L\[[^]]+\] not self-dual", result.detail)
 
 
 def test_clean_and_cuspidal():
