@@ -48,6 +48,16 @@ class _UsageError(Exception):
     pass
 
 
+def _window(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {n}")
+    return n
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="klvwb", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -80,11 +90,11 @@ def _build_parser() -> _Parser:
     common(p_ext)
     p_ext.add_argument("--tau", metavar="ID")
     p_ext.add_argument("--gamma", metavar="ID")
-    p_ext.add_argument("--window", type=int, default=10)
+    p_ext.add_argument("--window", type=_window, default=10)
 
     p_check = sub.add_parser("check", help="run every invariant suite")
     common(p_check)
-    p_check.add_argument("--window", type=int, default=10)
+    p_check.add_argument("--window", type=_window, default=10)
 
     common(sub.add_parser("list-builtins", help="list builtin datum names"), needs_datum=False)
     return parser

@@ -318,12 +318,23 @@ def load_datum(source) -> OrbitDatum:
     spec = obj["coxeter"]
     if not isinstance(spec, dict) or not ({"type", "cartan"} & set(spec)):
         raise DatumFormatError("'coxeter' must carry 'type' or 'cartan'")
-    try:
-        system = (
-            cox.build_system(spec["type"]) if "type" in spec else cox.build_system(spec["cartan"])
-        )
-    except UnsupportedType:
-        raise
+    if "type" in spec:
+        if not isinstance(spec["type"], str):
+            raise DatumFormatError("'coxeter.type' must be a string")
+        system = cox.build_system(spec["type"])
+    else:
+        cartan = spec["cartan"]
+        if not (
+            isinstance(cartan, list)
+            and cartan
+            and all(isinstance(row, list) and len(row) == len(cartan[0]) for row in cartan)
+            and all(type(x) is int for row in cartan for x in row)
+        ):
+            raise DatumFormatError(
+                "'coxeter.cartan' must be a non-empty list of equal-length lists of integers"
+            )
+        # build_system raises UnsupportedType for a matrix of no finite type
+        system = cox.build_system(cartan)
 
     orbits = []
     seen = set()

@@ -244,9 +244,11 @@ def _den_poly(factors) -> LaurentPoly:
 class PoincareSeries:
     """num / prod_i (1 - q^{a_i}) with exact arithmetic.
 
-    Equality is decided by cross-multiplication, never by truncation.
-    Construction cancels denominator factors that divide the numerator
-    exactly, so rendering is stable across equivalent build paths.
+    Construction tries each denominator factor once, in increasing order,
+    and cancels it if it divides the numerator exactly.  Equal series can
+    therefore render differently: (1+q)/(1-q^2) keeps its factor although
+    it equals 1/(1-q).  Equality is decided by cross-multiplication, never
+    by truncation or by the rendered form.
     """
 
     __slots__ = ("num", "den")
@@ -277,6 +279,8 @@ class PoincareSeries:
     def __add__(self, other: "PoincareSeries") -> "PoincareSeries":
         if not isinstance(other, PoincareSeries):
             return NotImplemented
+        if self.den == other.den:
+            return PoincareSeries(self.num + other.num, self.den)
         den = _multiset_max(self.den, other.den)
         a = self.num * _den_poly(_multiset_diff(den, self.den))
         b = other.num * _den_poly(_multiset_diff(den, other.den))
@@ -342,21 +346,35 @@ def _multiset_diff(a, b):
 
 
 def _divide_once(num: LaurentPoly, a: int):
-    """num / (1 - q^a) if the division is exact, else None."""
-    if num.is_zero():
-        return num
-    lo, hi = num.degree_window()
-    c = dict(num._c)
+    """num / (1 - q^a) if the division is exact, else None.
+
+    Modulo q^a - 1 every q^e is congruent to q^(e mod a), so (1 - q^a)
+    divides num iff, for each residue r mod a, the coefficients of the
+    exponents e = r (mod a) sum to 0: one pass over the terms decides it.
+    When it does, num / (1 - q^a) = num * (1 + q^a + q^2a + ...), whose
+    coefficient at e is the running sum of num along e's residue chain up
+    to e.  That sum returns to 0 at the chain's top term, where the quotient
+    stops.
+    """
+    c = num._c
+    sums: dict[int, int] = {}
+    for e, v in c.items():
+        r = e % a
+        sums[r] = sums.get(r, 0) + v
+    if any(sums.values()):
+        return None
+    chains: dict[int, list[int]] = {}
+    for e in sorted(c):
+        chains.setdefault(e % a, []).append(e)
     h: dict[int, int] = {}
-    # (1 - q^a) has unit constant term: synthesize quotient from low end up
-    for e in range(lo, hi + 1):
-        v = c.get(e, 0) + h.get(e - a, 0)
-        if v:
-            h[e] = v
-    quot = LaurentPoly(h)
-    if quot * (ONE - LaurentPoly.monomial(1, a)) == num:
-        return quot
-    return None
+    for chain in chains.values():
+        run = 0
+        for e, nxt in zip(chain, chain[1:]):
+            run += c[e]
+            if run:
+                for x in range(e, nxt, a):
+                    h[x] = run
+    return LaurentPoly._raw(h)
 
 
 def _reduce(num: LaurentPoly, den: list[int]):

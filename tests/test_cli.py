@@ -105,6 +105,11 @@ def test_validate_file_with_missing_row_exits_1(tmp_path, capsys):
         (("params", 0, "id"), ["p0"]),
         (("params", 0, "orbit"), ["0"]),
         (("params", 0, "local_system"), ["triv"]),
+        (("coxeter",), {"cartan": [[2, "x"], [-1, 2]]}),
+        (("coxeter",), {"cartan": 5}),
+        (("coxeter",), {"cartan": "A1"}),
+        (("coxeter",), {"type": [[2]]}),
+        (("coxeter",), {"cartan": [["2"]]}),
     ],
 )
 def test_hostile_datum_is_rejected_cleanly(tmp_path, capsys, where, value):
@@ -141,6 +146,8 @@ def test_usage_errors_exit_3(capsys):
     assert main(["klv", "--builtin", "no-such-builtin"]) == 3
     assert main(["ext", "--builtin", "sl2-T", "--gamma", "wt"]) == 3
     assert main(["act", "--builtin", "sl2-T", "--param", "p0", "--word", "x"]) == 3
+    assert main(["ext", "--builtin", "sl2-T", "--window", "-1"]) == 3
+    assert main(["check", "--builtin", "sl2-T", "--window", "-1"]) == 3
     capsys.readouterr()
 
 

@@ -74,6 +74,10 @@ def test_load_rejects_unknown_coxeter_label():
     obj["coxeter"] = {"type": "H3"}
     with pytest.raises(UnsupportedType):
         dm.load_datum(json.dumps(obj))
+    # a well-formed Cartan matrix of affine type A1~
+    obj["coxeter"] = {"cartan": [[2, -2], [-2, 2]]}
+    with pytest.raises(UnsupportedType):
+        dm.load_datum(json.dumps(obj))
 
 
 def test_load_rejects_schema_problems():

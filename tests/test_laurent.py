@@ -1,11 +1,17 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from klvwb.errors import DomainError
 from klvwb.laurent import (
     LaurentPoly,
     PoincareSeries,
+    _den_poly,
+    _divide_once,
+    _multiset_diff,
+    _multiset_max,
     parse_poly,
     parse_series,
     render_poly,
@@ -171,3 +177,91 @@ def test_series_json_round_trip():
         parse_series({"num": "1", "den": "x"})
     with pytest.raises(DomainError):
         parse_series({"num": "1", "den": [0]})
+
+
+def test_series_reduction_rule_is_greedy_in_increasing_order():
+    # equal series, different renderings: each factor is tried once
+    assert render_series(PoincareSeries(ONE, [1])) == "1/(1-q)"
+    assert render_series(PoincareSeries(ONE + Q, [2])) == "(1+q)/(1-q^2)"
+    # (1-q^2) is cancelled by (1-q) first, leaving (1+q) over (1-q^2)
+    s = PoincareSeries(ONE - LaurentPoly.monomial(1, 2), [1, 2])
+    assert render_series(s) == "(1+q)/(1-q^2)"
+
+
+def test_series_reduction_cost_follows_the_terms():
+    # the reduction must not walk the 10^7 exponents between the two terms
+    s = parse_series({"num": "1+q^10000000", "den": [1]})
+    assert s.num == parse_poly("1+q^10000000") and s.den == (1,)
+    t = parse_series({"num": "1-q^10000000", "den": [10000000]})
+    assert t.num == ONE and t.den == ()
+
+
+def _multiply_back_divide_once(num, a):
+    """Reference division: synthesize a quotient over the whole degree range
+    from the low end, then multiply it back by (1 - q^a) to test exactness."""
+    if num.is_zero():
+        return num
+    lo, hi = num.degree_window()
+    c = dict(num._c)
+    h = {}
+    for e in range(lo, hi + 1):
+        v = c.get(e, 0) + h.get(e - a, 0)
+        if v:
+            h[e] = v
+    quot = LaurentPoly(h)
+    if quot * (ONE - LaurentPoly.monomial(1, a)) == num:
+        return quot
+    return None
+
+
+def _multiply_back_reduce(num, den):
+    out = []
+    for a in sorted(den):
+        quot = _multiply_back_divide_once(num, a)
+        if quot is None:
+            out.append(a)
+        else:
+            num = quot
+    return num, tuple(out)
+
+
+sparse_polys = st.dictionaries(
+    st.integers(-40, 40), st.integers(-4, 4), max_size=8
+).map(LaurentPoly)
+factors = st.integers(1, 6)
+
+
+@settings(deadline=None)
+@given(base=sparse_polys, a=factors, exact=st.booleans())
+def test_divide_once_is_exact_division(base, a, exact):
+    one_minus = ONE - LaurentPoly.monomial(1, a)
+    num = base * one_minus if exact else base
+    quot = _divide_once(num, a)
+    if exact:
+        assert quot == base
+    assert (quot is None) == (_multiply_back_divide_once(num, a) is None)
+    if quot is not None:
+        assert quot * one_minus == num
+
+
+@settings(deadline=None)
+@given(
+    num=sparse_polys,
+    den=st.lists(factors, max_size=4),
+    cancel=st.lists(factors, max_size=3),
+    other=sparse_polys,
+    other_den=st.lists(factors, max_size=4),
+)
+def test_series_reduction_matches_multiply_back_oracle(num, den, cancel, other, other_den):
+    # multiply in factors that also sit in the denominator, so some cancel
+    num = num * _den_poly(cancel)
+    den = den + cancel
+    s = PoincareSeries(num, den)
+    assert (s.num, s.den) == _multiply_back_reduce(num, den)
+    for t in (PoincareSeries(other, other_den), PoincareSeries(other, s.den)):
+        common = _multiset_max(s.den, t.den)
+        total = s.num * _den_poly(_multiset_diff(common, s.den)) + t.num * _den_poly(
+            _multiset_diff(common, t.den)
+        )
+        got = s + t
+        assert (got.num, got.den) == _multiply_back_reduce(total, common)
