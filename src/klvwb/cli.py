@@ -37,6 +37,10 @@ EXIT_INVALID = 1
 EXIT_COMPUTE = 2
 EXIT_USAGE = 3
 
+# --window cap: each Ext row lists up to this many degrees, and the series
+# expansion behind it is linear in the window
+MAX_WINDOW = 10_000
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -55,6 +59,8 @@ def _window(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if n < 0:
         raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {n}")
+    if n > MAX_WINDOW:
+        raise argparse.ArgumentTypeError(f"must be at most {MAX_WINDOW}, got {n}")
     return n
 
 

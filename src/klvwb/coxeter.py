@@ -5,6 +5,12 @@ roots are enumerated once, in the basis of simple roots; each group element
 is the permutation it induces on the root list.  This gives exact lengths
 (number of positive roots sent negative), cheap products, and no word
 normal-form issues.  Intended scale is rank <= 4, so everything is small.
+
+Enumeration also numbers the elements 0..|W|-1 in breadth-first order and
+keeps integer tables of right multiplication by each generator and of
+lengths, so inner loops can run on ints, as in du Cloux's Coxeter program
+("Computing Kazhdan-Lusztig polynomials for arbitrary Coxeter groups",
+Experiment. Math. 11 (2002)).
 """
 
 from __future__ import annotations
@@ -119,25 +125,46 @@ class CoxeterSystem:
             raise UnsupportedType(f"bad element token {token!r}") from None
         return self.from_word(word)
 
+    @property
+    def right_mul(self) -> tuple[tuple[int, ...], ...]:
+        """right_mul[s][i] is the index of x*s, where x has index i."""
+        self._ensure_enumerated()
+        return self._right_mul
+
+    @property
+    def lengths(self) -> tuple[int, ...]:
+        """lengths[i] is the length of the element with index i."""
+        self._ensure_enumerated()
+        return self._lengths
+
+    def index(self, x: "CoxElt") -> int:
+        """Position of x in elements(): the identity is 0, lengths never drop."""
+        self._ensure_enumerated()
+        return self._index[x.perm]
+
     def _ensure_enumerated(self):
         if self._elements is not None:
             return
         e = self.identity
+        index = {e.perm: 0}
         words = {e.perm: ()}
         order = [e]
-        frontier = [e]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for s in range(self.rank):
-                    y = x.mul_gen(s)
-                    if y.perm not in words:
-                        words[y.perm] = words[x.perm] + (s,)
-                        order.append(y)
-                        nxt.append(y)
-            frontier = nxt
+        right = [[] for _ in range(self.rank)]
+        # a FIFO walk: elements come out in BFS order, so right[s] fills in index order
+        for x in order:
+            for s in range(self.rank):
+                y = x.mul_gen(s)
+                j = index.get(y.perm)
+                if j is None:
+                    j = index[y.perm] = len(order)
+                    words[y.perm] = words[x.perm] + (s,)
+                    order.append(y)
+                right[s].append(j)
         self._elements = tuple(order)
         self._words = words
+        self._index = index
+        self._right_mul = tuple(tuple(r) for r in right)
+        self._lengths = tuple(x.length for x in order)
 
     def leq_bruhat(self, x: "CoxElt", y: "CoxElt") -> bool:
         """Bruhat order via the standard descent recursion."""

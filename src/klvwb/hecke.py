@@ -7,16 +7,18 @@ when it goes down.  The module also provides the bar involution
 normalized so that C_w = sum_x P_{x,w}(q) T_x with P in Z[q],
 bar(C_w) = q^{-len(w)} C_w and P_{w,w} = 1.
 
-kl_basis computes the C_w by iterated bar-correction; verify_kl_basis
-re-checks the defining properties independently of how a table was made,
-which also pins the table by uniqueness.
+kl_basis computes the P_{x,w} by the standard recursion of Kazhdan and
+Lusztig (Invent. Math. 53 (1979)) over a right descent s of w, on the
+integer element indices and generator tables of the CoxeterSystem;
+verify_kl_basis re-checks the defining properties with bar(), independently
+of how a table was made, which also pins the table by uniqueness.
 """
 
 from __future__ import annotations
 
 from .coxeter import CoxElt, CoxeterSystem
 from .errors import DomainError, SystemMismatch
-from .laurent import ONE, Q, ZERO, LaurentPoly, render_poly
+from .laurent import ONE, Q, ZERO, LaurentPoly, ops, render_poly
 
 _QM1 = Q - ONE  # q - 1
 
@@ -209,26 +211,55 @@ class KLBasis:
 
 
 def kl_basis(sys: CoxeterSystem) -> KLBasis:
-    """Compute every C_w by bar-correction in increasing length order."""
+    """Compute every C_w by the Kazhdan-Lusztig recursion on element indices.
+
+    Elements are their breadth-first indices in sys, so v = ws comes before
+    w when s is a right descent of w.  With c = 1 if xs < x and c = 0
+    otherwise,
+
+        P_{x,w} = q^{1-c} P_{xs,v} + q^c P_{x,v}
+                  - sum_{z: zs < z} mu(z,v) q^{(l(w)-l(z))/2} P_{x,z},
+
+    where mu(z,v) is the coefficient of q^{(l(v)-l(z)-1)/2} in P_{z,v}
+    and z runs over z < v (Kazhdan-Lusztig, Invent. Math. 53 (1979)).  Read
+    from the side of v's column, the first two terms add each P_{x,v} to
+    both x and xs, times q if xs < x.  Each finished column keeps its
+    nonzero mu list for the columns above it.
+    """
     cached = getattr(sys, "_kl_basis_cache", None)
     if cached is not None:
         return cached
-    els = sorted(sys.elements(), key=lambda w: _order_key(sys, w))
-    table: dict[CoxElt, HeckeElt] = {}
-    bound = 4 * len(els) ** 2
-    for w in els:
-        c = T(sys, w)
-        for _ in range(bound):
-            delta = c.bar().scale(LaurentPoly.monomial(1, w.length)) - c
-            if delta.is_zero():
-                break
-            x = max(delta.terms, key=lambda v: _order_key(sys, v))
-            coeff = delta.terms[x]
-            p = (-coeff).truncate((w.length - x.length - 1) // 2)
-            c = c - table[x].scale(p)
-        else:
-            raise DomainError(f"bar correction failed for {render_token(sys, w)}")
-        table[w] = c
+    els = sys.elements()
+    right, lengths = sys.right_mul, sys.lengths
+    cols: list[dict[int, dict]] = [{0: {0: 1}}]
+    mus: list[list[tuple[int, int]]] = [[]]
+    for w in range(1, len(els)):
+        lw = lengths[w]
+        rs = next(r for r in right if lengths[r[w]] < lw)
+        v = rs[w]
+        acc: dict[int, dict] = {}
+        for x, p in cols[v].items():
+            xs = rs[x]
+            shift = 1 if lengths[xs] < lengths[x] else 0
+            ops.paccum_scaled(acc.setdefault(x, {}), p, 1, shift)
+            ops.paccum_scaled(acc.setdefault(xs, {}), p, 1, shift)
+        for z, mu in mus[v]:
+            if lengths[rs[z]] < lengths[z]:
+                shift = (lw - lengths[z]) // 2
+                for x, p in cols[z].items():
+                    ops.paccum_scaled(acc.setdefault(x, {}), p, -mu, shift)
+        col = dict(sorted(acc.items()))
+        cols.append(col)
+        mu_list = []
+        for z, p in col.items():
+            gap = lw - lengths[z]
+            if gap % 2 and p.get(gap // 2):
+                mu_list.append((z, p[gap // 2]))
+        mus.append(mu_list)
+    table = {
+        w: HeckeElt(sys, {els[x]: LaurentPoly._raw(p) for x, p in col.items()})
+        for w, col in zip(els, cols)
+    }
     out = KLBasis(sys, table)
     sys._kl_basis_cache = out
     return out

@@ -306,20 +306,27 @@ class PoincareSeries:
         raise TypeError("PoincareSeries is not hashable")
 
     def expand(self, lo: int, hi: int) -> dict[int, int]:
-        """Coefficients of the power-series expansion for exponents in [lo, hi]."""
+        """Coefficients of the power-series expansion for exponents in [lo, hi].
+
+        Multiplying by 1/(1-q^a) = sum_j q^{aj} is a running sum along each
+        residue chain mod a: out[x] = cur[x] + out[x-a], done in place from
+        the lowest numerator exponent m up to hi.  The cost is
+        O(#den * (hi - m)), linear in the window for any number of factors.
+        """
         if hi < lo:
             raise DomainError("empty expansion window")
-        cur = dict(self.num._c)
+        terms = {e: c for e, c in self.num._c.items() if e <= hi}
+        if not self.den or not terms:
+            return {e: c for e, c in terms.items() if lo <= e}
+        base = min(terms)
+        cur = [0] * (hi - base + 1)
+        for e, c in terms.items():
+            cur[e - base] = c
         for a in self.den:
-            # multiply by 1/(1-q^a) = sum_j q^{aj}, truncating above hi
-            nxt: dict[int, int] = {}
-            for e, c in cur.items():
-                x = e
-                while x <= hi:
-                    nxt[x] = nxt.get(x, 0) + c
-                    x += a
-            cur = nxt
-        return {e: c for e, c in cur.items() if lo <= e <= hi and c}
+            for x in range(a, len(cur)):
+                cur[x] += cur[x - a]
+        start = max(lo - base, 0)
+        return {base + i: c for i, c in enumerate(cur[start:], start) if c}
 
     def coefficient(self, m: int) -> int:
         return self.expand(m, m).get(m, 0)

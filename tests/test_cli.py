@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from klvwb import datum as dm
-from klvwb.cli import main
+from klvwb.cli import MAX_WINDOW, main
 from klvwb.errors import DatumFormatError
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -148,6 +148,14 @@ def test_usage_errors_exit_3(capsys):
     assert main(["act", "--builtin", "sl2-T", "--param", "p0", "--word", "x"]) == 3
     assert main(["ext", "--builtin", "sl2-T", "--window", "-1"]) == 3
     assert main(["check", "--builtin", "sl2-T", "--window", "-1"]) == 3
+    too_wide = str(MAX_WINDOW + 1)
+    assert main(["ext", "--builtin", "sl2-T", "--window", too_wide]) == 3
+    assert main(["check", "--builtin", "sl2-T", "--window", too_wide]) == 3
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("klvwb:")][-1] == (
+        f"klvwb: usage error: argument --window: must be at most {MAX_WINDOW}, got {too_wide}"
+    )
+    assert main(["ext", "--builtin", "sl2-T", "--window", str(MAX_WINDOW)]) == 0
     capsys.readouterr()
 
 

@@ -2,10 +2,11 @@ import random
 
 import pytest
 
-from klvwb.coxeter import build_system
+from klvwb.coxeter import CARTAN_BY_TYPE, build_system
 from klvwb.errors import SystemMismatch
 from klvwb.hecke import (
     HeckeElt,
+    KLBasis,
     T,
     bar_hecke,
     kl_basis,
@@ -170,13 +171,52 @@ def test_cs_squared():
             assert mul_T(cs, cs) == cs.scale(Q + ONE)
 
 
+def _bar_correction_table(sys):
+    """Reference KL basis: start each C_w at T_w and subtract lower C_x until
+    bar(C_w) = q^-l(w) C_w, one bar() of the whole element per correction."""
+    key = lambda v: (v.length, sys.reduced_word(v))
+    els = sorted(sys.elements(), key=key)
+    table = {}
+    for w in els:
+        c = T(sys, w)
+        for _ in range(len(els)):
+            delta = c.bar().scale(LaurentPoly.monomial(1, w.length)) - c
+            if delta.is_zero():
+                break
+            x = max(delta.terms, key=key)
+            p = (-delta.terms[x]).truncate((w.length - x.length - 1) // 2)
+            c = c - table[x].scale(p)
+        else:
+            pytest.fail(f"bar correction did not converge at {sys.element_token(w)}")
+        table[w] = c
+    return table
+
+
+@pytest.mark.parametrize("label", sorted(set(CARTAN_BY_TYPE) - {"D4"}))
+def test_kl_recursion_matches_bar_correction(label):
+    sys = build_system(label)
+    basis = kl_basis(sys)
+    expected = _bar_correction_table(sys)
+    assert list(basis.table) == sys.elements()
+    for w in sys.elements():
+        assert basis.c(w) == expected[w], sys.element_token(w)
+
+
+def test_kl_basis_d4_passes_verifier():
+    sys = build_system("D4")
+    basis = kl_basis(sys)
+    assert verify_kl_basis(basis) == []
+    polys = [p for c in basis.table.values() for p in c.terms.values()]
+    assert len(polys) == 9817
+    assert len(set(polys)) == 10
+
+
 def test_verifier_catches_corruption():
     sys = build_system("A2")
     basis = kl_basis(sys)
     table = dict(basis.table)
     w0 = sys.from_word([0, 1, 0])
     table[w0] = table[w0] + T(sys, sys.identity).scale(Q)
-    from klvwb.hecke import KLBasis
 
     assert verify_kl_basis(KLBasis(sys, table)) != []
 

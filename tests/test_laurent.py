@@ -265,3 +265,38 @@ def test_series_reduction_matches_multiply_back_oracle(num, den, cancel, other, 
         )
         got = s + t
         assert (got.num, got.den) == _multiply_back_reduce(total, common)
+
+
+def _nested_walk_expand(series, lo, hi):
+    """Reference expansion: every term walks its chain up to hi, once per
+    denominator factor, into a fresh dict."""
+    cur = dict(series.num._c)
+    for a in series.den:
+        nxt = {}
+        for e, c in cur.items():
+            x = e
+            while x <= hi:
+                nxt[x] = nxt.get(x, 0) + c
+                x += a
+        cur = nxt
+    return {e: c for e, c in cur.items() if lo <= e <= hi and c}
+
+
+@settings(deadline=None)
+@given(
+    num=sparse_polys,
+    den=st.lists(factors, max_size=4),
+    lo=st.integers(-50, 60),
+    width=st.integers(0, 60),
+)
+def test_expand_matches_nested_walk_oracle(num, den, lo, width):
+    s = PoincareSeries(num, den)
+    assert s.expand(lo, lo + width) == _nested_walk_expand(s, lo, lo + width)
+
+
+def test_expand_cost_is_linear_in_the_window():
+    # the nested walk is quadratic here: after the first factor every
+    # exponent up to 100000 is a term, and each term walks to the top
+    got = PoincareSeries(ONE, [1, 1, 1]).expand(0, 100_000)
+    assert len(got) == 100_001
+    assert got[100_000] == 100_001 * 100_002 // 2
