@@ -2,6 +2,6 @@
 
 __version__ = "0.1.0"
 
-from .laurent import LaurentPoly, PoincareSeries, kernel_backend
+from .laurent import LaurentPoly, PoincareSeries
 
-__all__ = ["LaurentPoly", "PoincareSeries", "kernel_backend", "__version__"]
+__all__ = ["LaurentPoly", "PoincareSeries", "__version__"]

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from .coxeter import CoxElt, CoxeterSystem
 from .errors import DomainError, SystemMismatch
-from .laurent import ONE, Q, ZERO, LaurentPoly, ops, render_poly
+from .laurent import ONE, Q, ZERO, LaurentPoly, paccum_scaled, render_poly
 
 _QM1 = Q - ONE  # q - 1
 
@@ -241,13 +241,13 @@ def kl_basis(sys: CoxeterSystem) -> KLBasis:
         for x, p in cols[v].items():
             xs = rs[x]
             shift = 1 if lengths[xs] < lengths[x] else 0
-            ops.paccum_scaled(acc.setdefault(x, {}), p, 1, shift)
-            ops.paccum_scaled(acc.setdefault(xs, {}), p, 1, shift)
+            paccum_scaled(acc.setdefault(x, {}), p, 1, shift)
+            paccum_scaled(acc.setdefault(xs, {}), p, 1, shift)
         for z, mu in mus[v]:
             if lengths[rs[z]] < lengths[z]:
                 shift = (lw - lengths[z]) // 2
                 for x, p in cols[z].items():
-                    ops.paccum_scaled(acc.setdefault(x, {}), p, -mu, shift)
+                    paccum_scaled(acc.setdefault(x, {}), p, -mu, shift)
         col = dict(sorted(acc.items()))
         cols.append(col)
         mu_list = []

@@ -20,11 +20,9 @@ from . import datum as dm
 from .coxeter import CoxElt
 from .errors import DatumError, MissingCostandard, SystemMismatch
 from .hecke import HeckeElt, kl_basis, parse_token
-from .laurent import ONE, Q, ZERO, LaurentPoly, ops, render_poly
+from .laurent import ONE, ZERO, LaurentPoly, paccum, pbar, render_poly
 
 _MINUS_ONE = LaurentPoly.monomial(-1, 0)
-_Q_MINUS_1 = Q - ONE
-_Q_MINUS_2 = Q - ONE - ONE
 _QINV = LaurentPoly.monomial(1, -1)
 _QINV_MINUS_1 = _QINV - ONE
 
@@ -123,7 +121,7 @@ class ActionTable:
                 desc = d.descriptor(s, p.id)
                 if desc is None:
                     raise DatumError(f"no descriptor for ({p.id}, s{s + 1})")
-                cols[p.id] = _column(p.id, desc)
+                cols[p.id] = desc.column(p.id)
             self.columns[s] = cols
 
     def apply(self, s: int, v: ModuleVector) -> ModuleVector:
@@ -135,7 +133,7 @@ class ActionTable:
                 acc = out.get(target)
                 if acc is None:
                     acc = out[target] = {}
-                ops.paccum(acc, c._c, a._c)
+                paccum(acc, c._c, a._c)
         return ModuleVector._raw(self.datum, out)
 
     def apply_word(self, word, v: ModuleVector) -> ModuleVector:
@@ -143,30 +141,6 @@ class ActionTable:
         for s in reversed(word):
             v = self.apply(s, v)
         return v
-
-
-def _column(pid: str, desc) -> list[tuple[str, LaurentPoly]]:
-    if isinstance(desc, dm.CompactG):
-        return [(pid, Q)]
-    if isinstance(desc, dm.AscentU):
-        return [(desc.up, ONE)]
-    if isinstance(desc, dm.DescentU):
-        return [(desc.down, Q), (pid, _Q_MINUS_1)]
-    if isinstance(desc, dm.AscentT):
-        return [(desc.cross, ONE), (desc.up, ONE)]
-    if isinstance(desc, dm.DescentT):
-        d1, d2 = desc.downs
-        return [(d1, _Q_MINUS_1), (d2, _Q_MINUS_1), (pid, _Q_MINUS_2)]
-    if isinstance(desc, dm.DescentTNonParity):
-        return [(pid, _MINUS_ONE)]
-    if isinstance(desc, dm.AscentN):
-        u1, u2 = desc.ups
-        return [(pid, ONE), (u1, ONE), (u2, ONE)]
-    if isinstance(desc, dm.DescentN):
-        return [(desc.down, _Q_MINUS_1), (pid, _Q_MINUS_1), (desc.partner, _MINUS_ONE)]
-    if isinstance(desc, dm.ExplicitRow):
-        return [(t, c) for t, c in desc.coeffs if not c.is_zero()]
-    raise DatumError(f"unknown descriptor {desc!r}")
 
 
 def build_action_table(d: dm.OrbitDatum) -> ActionTable:
@@ -216,16 +190,13 @@ def costandard_table(d: dm.OrbitDatum):
         candidates = []
         for s in range(d.coxeter.rank):
             for src in d.basis:
-                desc = d.descriptor(s, src.id)
-                if isinstance(desc, dm.AscentU) and desc.up == p.id:
-                    if src.id in beta_cols:
-                        candidates.append(_bar_ts_apply(table, s, beta_cols[src.id]))
-                elif isinstance(desc, dm.AscentT) and desc.up == p.id:
-                    if src.id in beta_cols and desc.cross in beta_cols:
-                        candidates.append(
-                            _bar_ts_apply(table, s, beta_cols[src.id])
-                            - beta_cols[desc.cross]
-                        )
+                others = d.descriptor(s, src.id).dual_others(p.id)
+                if others is None or not all(x in beta_cols for x in (src.id, *others)):
+                    continue
+                v = _bar_ts_apply(table, s, beta_cols[src.id])
+                for o in others:
+                    v = v - beta_cols[o]
+                candidates.append(v)
         if candidates:
             first = candidates[0]
             for other in candidates[1:]:
@@ -269,12 +240,12 @@ def beta(x: ModuleVector, d: dm.OrbitDatum) -> ModuleVector:
     cols = _beta_columns(d)
     out: dict[str, dict] = {}
     for pid, c in x.coords.items():
-        barc = ops.pbar(c._c)
+        barc = pbar(c._c)
         for row, entry in cols[pid].coords.items():
             acc = out.get(row)
             if acc is None:
                 acc = out[row] = {}
-            ops.paccum(acc, barc, entry._c)
+            paccum(acc, barc, entry._c)
     return ModuleVector._raw(d, out)
 
 
@@ -347,7 +318,7 @@ def c_matrix_columns(d: dm.OrbitDatum, w: CoxElt) -> dict[str, ModuleVector]:
                 acc = out.get(row)
                 if acc is None:
                     acc = out[row] = {}
-                ops.paccum(acc, entry._c, poly._c)
+                paccum(acc, entry._c, poly._c)
     col = {pid: ModuleVector._raw(d, out) for pid, out in sums.items()}
     mats[w] = col
     return col
@@ -361,5 +332,5 @@ def matrix_apply(columns: dict[str, ModuleVector], v: ModuleVector) -> ModuleVec
             acc = out.get(row)
             if acc is None:
                 acc = out[row] = {}
-            ops.paccum(acc, c._c, entry._c)
+            paccum(acc, c._c, entry._c)
     return ModuleVector._raw(d, out)

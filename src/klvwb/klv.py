@@ -20,7 +20,7 @@ from . import datum as dm
 from . import hmodule as hm
 from .coxeter import CoxElt
 from .errors import DatumError, NonGeometricDatum
-from .laurent import ONE, LaurentPoly, ops, render_poly
+from .laurent import ONE, LaurentPoly, paccum, pneg, render_poly
 
 ITERATION_FACTOR = 4
 
@@ -172,7 +172,7 @@ def _expand(d: dm.OrbitDatum, table: KLVTable, w: CoxElt, tau: str):
         top = max(acc, key=index.__getitem__)
         c = acc.pop(top)
         out[top] = LaurentPoly._raw(c)
-        neg = ops.pneg(c)
+        neg = pneg(c)
         # P[top, top] = 1, so subtracting c * L_top clears the top entry
         for row, entry in table.column(top).coords.items():
             if row == top:
@@ -180,7 +180,7 @@ def _expand(d: dm.OrbitDatum, table: KLVTable, w: CoxElt, tau: str):
             a = acc.get(row)
             if a is None:
                 a = acc[row] = {}
-            ops.paccum(a, neg, entry._c)
+            paccum(a, neg, entry._c)
             if not a:
                 del acc[row]
     return out

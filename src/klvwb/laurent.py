@@ -5,30 +5,95 @@ integer coefficients; the variable q tracks the grading twist throughout the
 package.  PoincareSeries represents num / prod_i (1 - q^{a_i}) exactly, the
 shape taken by equivariant cohomology rings of stabilizers.
 
-The coefficient-dict arithmetic is delegated to a kernel module: the
-compiled klvwb._speedups when built, otherwise the pure-Python
-klvwb._poly_ops.  Set KLVWB_PURE_PYTHON=1 to force the fallback.
+The arithmetic itself is the pure-Python kernel below: functions on plain
+dicts mapping integer exponents to nonzero integer coefficients.  Each one
+either returns a fresh normalized dict (no zero values) or, for paccum and
+paccum_scaled, accumulates into its first argument in place.  The hecke,
+hmodule and klv inner loops call it directly on LaurentPoly._c.
 """
 
 from __future__ import annotations
 
-import os
 import re
 
 from .errors import DomainError
 
-if os.environ.get("KLVWB_PURE_PYTHON"):
-    from . import _poly_ops as ops
-else:
-    try:
-        from . import _speedups as ops  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _poly_ops as ops
+
+def padd(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        s = out.get(e, 0) + c
+        if s:
+            out[e] = s
+        else:
+            out.pop(e, None)
+    return out
 
 
-def kernel_backend() -> str:
-    """Name of the arithmetic kernel in use: 'compiled' or 'pure'."""
-    return "compiled" if ops.BACKEND == "compiled" else "pure"
+def psub(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        s = out.get(e, 0) - c
+        if s:
+            out[e] = s
+        else:
+            out.pop(e, None)
+    return out
+
+
+def pneg(a):
+    return {e: -c for e, c in a.items()}
+
+
+def pmul(a, b):
+    if len(a) > len(b):
+        a, b = b, a
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = ea + eb
+            s = out.get(e, 0) + ca * cb
+            if s:
+                out[e] = s
+            else:
+                del out[e]
+    return out
+
+
+def pbar(a):
+    return {-e: c for e, c in a.items()}
+
+
+def pmonmul(a, coeff, shift):
+    """coeff * q**shift * a, for an integer scalar coeff."""
+    if not coeff:
+        return {}
+    return {e + shift: c * coeff for e, c in a.items()}
+
+
+def paccum(acc, a, b):
+    """acc += a*b, in place."""
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = ea + eb
+            s = acc.get(e, 0) + ca * cb
+            if s:
+                acc[e] = s
+            else:
+                del acc[e]
+
+
+def paccum_scaled(acc, a, coeff, shift):
+    """acc += coeff * q**shift * a, in place, for an integer scalar coeff."""
+    if not coeff:
+        return
+    for e, c in a.items():
+        e2 = e + shift
+        s = acc.get(e2, 0) + c * coeff
+        if s:
+            acc[e2] = s
+        else:
+            del acc[e2]
 
 
 class LaurentPoly:
@@ -76,7 +141,7 @@ class LaurentPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return LaurentPoly._raw(ops.padd(self._c, other._c))
+        return LaurentPoly._raw(padd(self._c, other._c))
 
     __radd__ = __add__
 
@@ -84,22 +149,22 @@ class LaurentPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return LaurentPoly._raw(ops.psub(self._c, other._c))
+        return LaurentPoly._raw(psub(self._c, other._c))
 
     def __rsub__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return LaurentPoly._raw(ops.psub(other._c, self._c))
+        return LaurentPoly._raw(psub(other._c, self._c))
 
     def __neg__(self):
-        return LaurentPoly._raw(ops.pneg(self._c))
+        return LaurentPoly._raw(pneg(self._c))
 
     def __mul__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return LaurentPoly._raw(ops.pmul(self._c, other._c))
+        return LaurentPoly._raw(pmul(self._c, other._c))
 
     __rmul__ = __mul__
 
@@ -132,11 +197,11 @@ class LaurentPoly:
 
     def bar(self) -> "LaurentPoly":
         """Substitute q -> q^-1."""
-        return LaurentPoly._raw(ops.pbar(self._c))
+        return LaurentPoly._raw(pbar(self._c))
 
     def shift(self, n: int) -> "LaurentPoly":
         """Multiply by q^n."""
-        return LaurentPoly._raw(ops.pmonmul(self._c, 1, n))
+        return LaurentPoly._raw(pmonmul(self._c, 1, n))
 
     def coefficient(self, exp: int) -> int:
         return self._c.get(exp, 0)
@@ -361,7 +426,7 @@ def _divide_once(num: LaurentPoly, a: int):
     When it does, num / (1 - q^a) = num * (1 + q^a + q^2a + ...), whose
     coefficient at e is the running sum of num along e's residue chain up
     to e.  That sum returns to 0 at the chain's top term, where the quotient
-    stops.
+    st
     """
     c = num._c
     sums: dict[int, int] = {}

@@ -45,6 +45,53 @@ def test_golden_outputs(tmp_path, argv, golden):
     assert body == (GOLDEN / golden).read_bytes()
 
 
+# Planted descriptor faults, each a set of rows swapped into one generator's
+# action table.  The golden `validate` output pins every detail string of the
+# mirroring rules and the order in which the problems are reported.
+PLANTED_FAULTS = {
+    "fault_ascentU_validate.csv": (
+        "hecke-regular:A2", "2", {"e": {"case": "AscentU", "up": "e"}},
+    ),
+    "fault_descentU_validate.csv": (
+        "hecke-regular:A1", "1", {"1": {"case": "DescentU", "down": "1"}},
+    ),
+    "fault_ascentT_validate.csv": (
+        "sl2-T",
+        "1",
+        {
+            "p0": {"case": "AscentT", "cross": "ws", "up": "p0"},
+            "pInf": {"case": "AscentT", "cross": "pInf", "up": "wt"},
+        },
+    ),
+    "fault_descentT_validate.csv": (
+        "sl2-T", "1", {"wt": {"case": "DescentT", "downs": ["ws", "ws"]}},
+    ),
+    "fault_ascentN_validate.csv": (
+        "sl2-N", "1", {"u": {"case": "AscentN", "ups": ["u", "wp"]}},
+    ),
+    "fault_descentN_validate.csv": (
+        "sl2-N",
+        "1",
+        {
+            "wp": {"case": "DescentN", "partner": "wp", "down": "wm"},
+            "wm": {"case": "DescentN", "partner": "u", "down": "u"},
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("golden", sorted(PLANTED_FAULTS))
+def test_validate_planted_fault_golden(tmp_path, golden):
+    builtin, gen, rows = PLANTED_FAULTS[golden]
+    obj = dm.builtin_datum(builtin).to_jsonable()
+    obj["actions"][gen].update(rows)
+    path = tmp_path / "fault.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    code, body = run_to_file(tmp_path, ["validate", "--datum", str(path), "--format", "csv"])
+    assert code == 1
+    assert body == (GOLDEN / golden).read_bytes()
+
+
 def test_klv_csv_has_expected_rows(tmp_path):
     code, body = run_to_file(tmp_path, ["klv", "--builtin", "sl2-T", "--format", "csv"])
     assert code == 0
@@ -110,6 +157,20 @@ def test_validate_file_with_missing_row_exits_1(tmp_path, capsys):
         (("coxeter",), {"cartan": "A1"}),
         (("coxeter",), {"type": [[2]]}),
         (("coxeter",), {"cartan": [["2"]]}),
+        (("actions", "1", "p0"), {"case": "AscentT", "cross": ["pInf"], "up": "wt"}),
+        (("actions", "1", "wt"), {"case": "DescentT", "downs": [["p0"], "pInf"]}),
+        (("actions", "1", "wt"), {"case": "DescentT", "downs": ["p0", "pInf", "p0"]}),
+        (("actions", "1", "p0"), {"case": "AscentT", "cross": "pInf", "up": 3}),
+        (("orbits",), 5),
+        (("closure",), 5),
+        (("params",), 5),
+        (("params", 0), "p0"),
+        (("closure", 0), [["0"], "w"]),
+        (("orbits", 0, "dim"), 1.7),
+        (("orbits", 0, "dim"), "1"),
+        (("orbits", 0, "dim"), True),
+        (("orbits", 0, "closed"), "false"),
+        (("orbits", 0, "closed"), 1),
     ],
 )
 def test_hostile_datum_is_rejected_cleanly(tmp_path, capsys, where, value):

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -9,7 +10,9 @@ from klvwb.errors import (
     MissingDescriptor,
     UnsupportedType,
 )
-from klvwb.laurent import parse_poly
+from klvwb.laurent import ONE, parse_poly, render_poly
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def clone(d, **overrides):
@@ -54,12 +57,28 @@ def test_builtin_unknown_name():
         dm.builtin_datum("sl3-X")
 
 
+def _compact_explicit_datum():
+    """sl2-T times a second A1 factor acting by T = q on every parameter,
+    with the sign row written as an ExplicitRow: the builtins use neither
+    CompactG nor ExplicitRow."""
+    obj = dm.builtin_datum("sl2-T").to_jsonable()
+    obj["name"] = "sl2-T-x-compact"
+    obj["coxeter"] = {"cartan": [[2, 0], [0, 2]]}
+    obj["actions"]["1"]["ws"] = {"case": "ExplicitRow", "coeffs": {"ws": "-1"}}
+    obj["actions"]["2"] = {p["id"]: {"case": "CompactG"} for p in obj["params"]}
+    return dm.load_datum(json.dumps(obj))
+
+
 def test_round_trip_serialization():
-    for name in ["sl2-T", "sl2-N", "hecke-regular:A2"]:
-        d = dm.builtin_datum(name)
+    datums = [dm.builtin_datum(n) for n in ["sl2-T", "sl2-N", "hecke-regular:A2"]]
+    datums.append(_compact_explicit_datum())
+    for d in datums:
         loaded = dm.load_datum(dm.dump_datum(d))
         assert loaded == d
         assert dm.validate_datum(loaded).ok
+    # the file form of every descriptor family, byte for byte
+    dumps = "".join(dm.dump_datum(d) for d in datums)
+    assert dumps == (GOLDEN / "descriptor_dumps.txt").read_text(encoding="utf-8")
 
 
 def test_load_rejects_missing_action_row():
@@ -165,6 +184,19 @@ def test_validation_detects_bad_poincare():
     assert "poincare-normalization" in failed_names(bad)
 
 
+def test_negative_poincare_exponent_is_flagged_without_expansion(monkeypatch):
+    # the constant-term test would expand from q^-10000000 up to q^0
+    def no_expand(self, lo, hi):
+        raise AssertionError("expand called")
+
+    monkeypatch.setattr(dm.PoincareSeries, "expand", no_expand)
+    obj = dm.builtin_datum("sl2-T").to_jsonable()
+    obj["poincare"]["p0"] = {"num": "q^-10000000", "den": [1]}
+    report = dm.validate_datum(dm.load_datum(json.dumps(obj)))
+    assert report.failed_names() == ["poincare-normalization"]
+    assert report.checks[-1].detail == "poincare[p0] has negative exponents"
+
+
 def test_validation_detects_non_involutive_costandard():
     d = dm.builtin_datum("sl2-T")
     costd = {k: dict(v) for k, v in d.costandard.items()}
@@ -215,6 +247,26 @@ def test_s_star_conflicting_targets():
     )
     with pytest.raises(DatumError):
         dm.s_star(bad, 0, "0")
+
+
+def test_descriptor_columns_keep_entry_order():
+    # no output shows the order of a T_s column's entries; this pins it
+    cases = [
+        (dm.CompactG(), [("a", "q")]),
+        (dm.AscentU(up="u"), [("u", "1")]),
+        (dm.DescentU(down="d"), [("d", "q"), ("a", "-1+q")]),
+        (dm.AscentT(cross="c", up="u"), [("c", "1"), ("u", "1")]),
+        (dm.DescentT(downs=("d", "e")), [("d", "-1+q"), ("e", "-1+q"), ("a", "-2+q")]),
+        (dm.DescentTNonParity(), [("a", "-1")]),
+        (dm.AscentN(ups=("u", "v")), [("a", "1"), ("u", "1"), ("v", "1")]),
+        (dm.DescentN(partner="p", down="d"), [("d", "-1+q"), ("a", "-1+q"), ("p", "-1")]),
+        (
+            dm.ExplicitRow(coeffs=(("z", parse_poly("q")), ("b", parse_poly("0")), ("a", ONE))),
+            [("z", "q"), ("a", "1")],
+        ),
+    ]
+    for desc, want in cases:
+        assert [(t, render_poly(c)) for t, c in desc.column("a")] == want, desc
 
 
 def test_explicit_row_datum_end_to_end():

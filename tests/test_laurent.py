@@ -14,6 +14,7 @@ from klvwb.laurent import (
     _multiset_max,
     parse_poly,
     parse_series,
+    pmul,
     render_poly,
     render_series,
 )
@@ -47,6 +48,12 @@ def test_ring_axioms_random():
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
         assert a - a == LaurentPoly.zero()
+
+
+def test_kernel_keeps_big_integers_exact():
+    big = 10 ** 60
+    a = {0: big, 3: -big}
+    assert pmul(a, a) == {0: big * big, 3: -2 * big * big, 6: big * big}
 
 
 def test_bar_examples():
