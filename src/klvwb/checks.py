@@ -14,9 +14,7 @@ from . import datum as dm
 from . import hecke
 from . import hmodule as hm
 from . import klv as klvmod
-from .laurent import ONE, Q, LaurentPoly
-
-_QINV = LaurentPoly.monomial(1, -1)
+from .laurent import ONE, Q
 
 
 def run_check_suites(d: dm.OrbitDatum, window: int = 10) -> dm.ValidationReport:
@@ -71,19 +69,13 @@ def _hecke_oracle(d: dm.OrbitDatum) -> dm.CheckResult:
 
 
 def _involution_suite(d: dm.OrbitDatum) -> dm.CheckResult:
-    sys = d.coxeter
-    table = hm.build_action_table(d)
+    compatibility = hm.compatibility_problems(d)
     problems = []
     for p in d.params:
         v = hm.basis_vector(d, p.id)
         if hm.beta(hm.beta(v, d), d) != v:
             problems.append(f"beta^2 != id at {p.id}")
-        for s in range(sys.rank):
-            lhs = hm.beta(table.apply(s, v), d)
-            bv = hm.beta(v, d)
-            rhs = table.apply(s, bv).scale(_QINV) + bv.scale(_QINV - ONE)
-            if lhs != rhs:
-                problems.append(f"beta(T{s + 1} m[{p.id}]) != bar(T{s + 1}) beta(m[{p.id}])")
+        problems.extend(compatibility[p.id])
     return dm.CheckResult(
         "involution", not problems,
         "; ".join(problems) if problems else f"{len(d.params)} basis vectors",

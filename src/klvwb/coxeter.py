@@ -230,9 +230,6 @@ class CoxElt:
         img = self.perm[sys._simple_root_idx[s]]
         return not _is_positive(sys.roots[img])
 
-    def right_descents(self) -> tuple[int, ...]:
-        return tuple(s for s in range(self.system.rank) if self.has_right_descent(s))
-
     def has_left_descent(self, s: int) -> bool:
         sys = self.system
         inv = self.inverse()

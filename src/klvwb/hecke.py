@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from .coxeter import CoxElt, CoxeterSystem
 from .errors import DomainError, SystemMismatch
-from .laurent import ONE, Q, ZERO, LaurentPoly, paccum_scaled, render_poly
+from .laurent import ONE, Q, ZERO, LaurentPoly, paccum, paccum_scaled, pbar, render_poly
 
 _QM1 = Q - ONE  # q - 1
 
@@ -107,11 +107,16 @@ class HeckeElt:
     def bar(self) -> "HeckeElt":
         """Ring involution: q -> q^-1 on coefficients, T_w -> (T_{w^-1})^-1."""
         sys = self.system
-        out = HeckeElt(sys)
         table = _bar_table(sys)
+        acc: dict[CoxElt, dict] = {}
         for w, c in self.terms.items():
-            out = out + table[w].scale(c.bar())
-        return out
+            cbar = pbar(c._c)
+            for x, e in table[w].terms.items():
+                a = acc.get(x)
+                if a is None:
+                    a = acc[x] = {}
+                paccum(a, cbar, e._c)
+        return HeckeElt(sys, {x: LaurentPoly._raw(a) for x, a in acc.items()})
 
     def __str__(self) -> str:
         sys = self.system

@@ -12,6 +12,11 @@ upward from the closed orbits through U- and T-ascents, the only situations
 where duality is forced.  Parameters that no such chain reaches (cuspidal
 local systems, and both partners of an N-ascent) make the table
 underivable and duality-dependent operations raise MissingCostandard.
+
+ascent_sources indexes those U- and T-ascents by target once per datum;
+the derivation above and the self-dual basis solver both read it.
+compatibility_problems tests beta(T_s m) = bar(T_s) beta(m) on every basis
+vector, the law the solver's ascent recursion rests on.
 """
 
 from __future__ import annotations
@@ -162,6 +167,22 @@ def _bar_ts_apply(table: ActionTable, s: int, v: ModuleVector) -> ModuleVector:
     return table.apply(s, v).scale(_QINV) + v.scale(_QINV_MINUS_1)
 
 
+def ascent_sources(d: dm.OrbitDatum) -> dict[str, list[tuple[int, str, tuple[str, ...]]]]:
+    """{up: [(s, src, others)]} over every U- or T-ascent row, s-major and
+    then in basis order: T_s m_src = m_up + sum of m_other."""
+    sources = d._cache.get("ascent_sources")
+    if sources is None:
+        sources = d._cache["ascent_sources"] = {}
+        for s in range(d.coxeter.rank):
+            for src in d.basis:
+                desc = d.descriptor(s, src.id)
+                for up in desc.targets():
+                    others = desc.dual_others(up)
+                    if others is not None:
+                        sources.setdefault(up, []).append((s, src.id, others))
+    return sources
+
+
 def costandard_table(d: dm.OrbitDatum):
     """(table, origin): column gamma holds the m-expansion of n_gamma.
 
@@ -178,6 +199,7 @@ def costandard_table(d: dm.OrbitDatum):
         return out
 
     table = build_action_table(d)
+    sources = ascent_sources(d)
     beta_cols: dict[str, ModuleVector] = {}
     for p in d.basis:
         if d.orbit_by_id[p.orbit].closed:
@@ -188,15 +210,13 @@ def costandard_table(d: dm.OrbitDatum):
         if p.id in beta_cols:
             continue
         candidates = []
-        for s in range(d.coxeter.rank):
-            for src in d.basis:
-                others = d.descriptor(s, src.id).dual_others(p.id)
-                if others is None or not all(x in beta_cols for x in (src.id, *others)):
-                    continue
-                v = _bar_ts_apply(table, s, beta_cols[src.id])
-                for o in others:
-                    v = v - beta_cols[o]
-                candidates.append(v)
+        for s, src, others in sources.get(p.id, ()):
+            if not all(x in beta_cols for x in (src, *others)):
+                continue
+            v = _bar_ts_apply(table, s, beta_cols[src])
+            for o in others:
+                v = v - beta_cols[o]
+            candidates.append(v)
         if candidates:
             first = candidates[0]
             for other in candidates[1:]:
@@ -247,6 +267,29 @@ def beta(x: ModuleVector, d: dm.OrbitDatum) -> ModuleVector:
                 acc = out[row] = {}
             paccum(acc, barc, entry._c)
     return ModuleVector._raw(d, out)
+
+
+def compatibility_problems(d: dm.OrbitDatum) -> dict[str, list[str]]:
+    """Per parameter p, where beta(T_s m[p]) != bar(T_s) beta(m[p]).
+
+    Every list empty means beta intertwines the T_s action with its bar, so
+    (T_s + 1) maps a vector fixed by beta up to q^-k to one fixed up to
+    q^-(k+1).  validate_datum does not test this law.
+    """
+    problems = d._cache.get("compatibility")
+    if problems is None:
+        table = build_action_table(d)
+        problems = {}
+        for p in d.params:
+            v = basis_vector(d, p.id)
+            bv = beta(v, d)
+            problems[p.id] = [
+                f"beta(T{s + 1} m[{p.id}]) != bar(T{s + 1}) beta(m[{p.id}])"
+                for s in range(d.coxeter.rank)
+                if beta(table.apply(s, v), d) != _bar_ts_apply(table, s, bv)
+            ]
+        d._cache["compatibility"] = problems
+    return problems
 
 
 def act(h, x: ModuleVector, d: dm.OrbitDatum) -> ModuleVector:

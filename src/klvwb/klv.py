@@ -4,9 +4,17 @@ For each parameter delta the solver finds the unique vector
 L_delta = m_delta + sum of strictly lower terms that the duality beta fixes
 up to the twist q^-dim(delta), with polynomial entries P bounded in degree
 by (dim(delta) - dim(gamma) - 1)/2.  Existence and uniqueness hold whenever
-the datum's duality is a genuine triangular involution; verify_klv_table
-re-checks every defining property independently of the solver, so the
-algorithm itself is replaceable.
+the datum's duality is a genuine triangular involution.
+
+klv_table runs Vogan's ascent recursion (Lusztig-Vogan, Invent. Math. 71
+(1983); Adams-du Cloux, J. Inst. Math. Jussieu 8 (2009)), the module
+analogue of the Kazhdan-Lusztig recursion in hecke.kl_basis.  When a U- or
+T-ascent (s, delta') leads to delta, (T_s + 1) L_delta' is already fixed
+by beta up to q^-dim(delta); subtracting symmetric multiples of the lower
+L_gamma, top down, leaves L_delta.  Columns with no such ascent (closed
+orbits, cuspidals, N-ascent targets) are corrected with the dense beta.
+verify_klv_table re-checks every defining property with the dense beta,
+independently of the solver, so the algorithm itself is replaceable.
 
 On top of the table: mu extracts extreme-degree coefficients, c_expansion
 expresses C_w . L_tau in the self-dual basis (exact unitriangular back
@@ -22,6 +30,8 @@ from .coxeter import CoxElt
 from .errors import DatumError, NonGeometricDatum
 from .laurent import ONE, LaurentPoly, paccum, pneg, render_poly
 
+# bounds the dense correction steps of a _beta_column, the columns the
+# ascent recursion does not seed
 ITERATION_FACTOR = 4
 
 
@@ -50,43 +60,104 @@ class KLVTable:
 
 
 def klv_table(d: dm.OrbitDatum) -> KLVTable:
-    """Solve for the self-dual basis, processing parameters by (dim, id)."""
+    """Solve for the self-dual basis, processing parameters by (dim, id).
+
+    Column delta is seeded by the first U- or T-ascent (s, delta') to it, in
+    hmodule.ascent_sources order: v = (T_s + 1) L_delta'.  beta(T_s m) =
+    bar(T_s) beta(m) on every m makes beta(v) = q^-(dim delta' + 1) v.  When
+    v is m_delta plus lower terms, the m_delta coefficients of the two sides
+    force dim delta = dim delta' + 1, so no separate twist test is needed,
+    and v is self-dual with the twist of delta.  The residue
+    v - L_delta is a self-dual combination of the lower L_gamma, so each
+    coefficient c_gamma is symmetric, c_j = c_(gap - j) for gap =
+    dim delta - dim gamma, while P[gamma, delta] lives in degrees up to
+    (gap - 1)//2: the entries above that degree determine c_gamma, and
+    c_gamma . L_gamma is subtracted, gamma from the top down.
+
+    The recursion needs that compatibility law, which validate_datum leaves
+    untested, so it runs only when hmodule.compatibility_problems finds
+    none.  Columns without a seed, every column of a datum that fails the
+    law, and a seed whose top entry is not 1 . m_delta take _beta_column.
+    """
     dm.ensure_valid(d)
     cached = d._cache.get("klv_table")
     if cached is not None:
         return cached
+    compatible = not any(hm.compatibility_problems(d).values())
+    sources = hm.ascent_sources(d) if compatible else {}
+    action = hm.build_action_table(d)
     columns: dict[str, hm.ModuleVector] = {}
-    bound = ITERATION_FACTOR * len(d.params) ** 2
-    index = d.basis_index
     for delta in d.basis:
-        twist = LaurentPoly.monomial(1, delta.dim)
-        vec = hm.basis_vector(d, delta.id)
-        for _ in range(bound):
-            diff = hm.beta(vec, d).scale(twist) - vec
-            if diff.is_zero():
-                break
-            gamma = max(diff.coords, key=index.__getitem__)
-            if index[gamma] >= index[delta.id]:
-                raise NonGeometricDatum(
-                    f"correction support at or above {delta.id} (datum {d.name})"
-                )
-            coeff = diff.coords[gamma]
-            gap = delta.dim - d.param_by_id[gamma].dim
-            fix = (-coeff).truncate((gap - 1) // 2)
-            if fix.is_zero():
-                raise NonGeometricDatum(
-                    f"no degree-bounded correction at ({gamma}, {delta.id}) "
-                    f"(datum {d.name})"
-                )
-            vec = vec - columns[gamma].scale(fix)
-        else:
-            raise NonGeometricDatum(
-                f"self-dual correction did not converge at {delta.id} (datum {d.name})"
-            )
-        columns[delta.id] = vec
+        col = None
+        if delta.id in sources:
+            # validation puts every ascent source at a lower dimension
+            s, src, _ = sources[delta.id][0]
+            seed = columns[src]
+            col = _selfdual_column(d, columns, delta, action.apply(s, seed) + seed)
+        columns[delta.id] = col if col is not None else _beta_column(d, columns, delta)
     table = KLVTable(d, columns)
     d._cache["klv_table"] = table
     return table
+
+
+def _selfdual_column(d: dm.OrbitDatum, columns, delta, v: hm.ModuleVector):
+    """L_delta from a vector v that beta fixes up to q^-dim(delta), by the
+    symmetric top-down sweep over the lower columns; None unless v is
+    m_delta plus terms below delta."""
+    acc = {pid: dict(c._c) for pid, c in v.coords.items()}
+    index = d.basis_index
+    if acc.get(delta.id) != ONE._c or max(acc, key=index.__getitem__) != delta.id:
+        return None
+    for gamma in reversed(d.basis[: index[delta.id]]):
+        r = acc.get(gamma.id)
+        if r is None:
+            continue
+        gap = delta.dim - gamma.dim
+        half = (gap - 1) // 2
+        neg = {}
+        for j, a in r.items():
+            if j > half:
+                neg[j] = neg[gap - j] = -a
+        if not neg:
+            continue
+        for row, entry in columns[gamma.id].coords.items():
+            a = acc.get(row)
+            if a is None:
+                a = acc[row] = {}
+            paccum(a, neg, entry._c)
+            if not a:
+                del acc[row]
+    return hm.ModuleVector._raw(d, acc)
+
+
+def _beta_column(d: dm.OrbitDatum, columns, delta) -> hm.ModuleVector:
+    """L_delta by dense correction: subtract lower columns until beta fixes
+    m_delta + lower up to the twist, in at most ITERATION_FACTOR * n^2 steps."""
+    bound = ITERATION_FACTOR * len(d.params) ** 2
+    index = d.basis_index
+    twist = LaurentPoly.monomial(1, delta.dim)
+    vec = hm.basis_vector(d, delta.id)
+    for _ in range(bound):
+        diff = hm.beta(vec, d).scale(twist) - vec
+        if diff.is_zero():
+            return vec
+        gamma = max(diff.coords, key=index.__getitem__)
+        if index[gamma] >= index[delta.id]:
+            raise NonGeometricDatum(
+                f"correction support at or above {delta.id} (datum {d.name})"
+            )
+        coeff = diff.coords[gamma]
+        gap = delta.dim - d.param_by_id[gamma].dim
+        fix = (-coeff).truncate((gap - 1) // 2)
+        if fix.is_zero():
+            raise NonGeometricDatum(
+                f"no degree-bounded correction at ({gamma}, {delta.id}) "
+                f"(datum {d.name})"
+            )
+        vec = vec - columns[gamma].scale(fix)
+    raise NonGeometricDatum(
+        f"self-dual correction did not converge at {delta.id} (datum {d.name})"
+    )
 
 
 def verify_klv_table(table: KLVTable, d: dm.OrbitDatum) -> list[str]:
@@ -267,9 +338,3 @@ def klv_csv(table: KLVTable) -> str:
     for gamma_id, delta_id, poly in table.rows():
         lines.append(f"{gamma_id},{delta_id},{render_poly(poly)}")
     return "\n".join(lines) + "\n"
-
-
-def klv_jsonable(table: KLVTable) -> list[dict]:
-    return [
-        {"gamma": g, "delta": dl, "P": render_poly(p)} for g, dl, p in table.rows()
-    ]

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -5,7 +6,7 @@ import pytest
 from klvwb import datum as dm
 from klvwb import hecke
 from klvwb import hmodule as hm
-from klvwb.errors import MissingCostandard, SystemMismatch
+from klvwb.errors import DatumError, MissingCostandard, SystemMismatch
 from klvwb.laurent import ONE, LaurentPoly, parse_poly
 
 
@@ -142,6 +143,26 @@ def test_costandard_derivation_matches_hecke_inversion():
     assert origin == "derived"
     table, _ = hm.costandard_table(given)
     assert derived == table
+
+
+def test_ascent_sources_index_u_and_t_ascents_by_target():
+    assert hm.ascent_sources(dm.builtin_datum("sl2-T")) == {
+        "wt": [(0, "p0", ("pInf",)), (0, "pInf", ("p0",))]
+    }
+    # N-ascents force no duality and are not sources
+    assert hm.ascent_sources(dm.builtin_datum("sl2-N")) == {}
+    a2 = dm.builtin_datum("hecke-regular:A2")
+    assert hm.ascent_sources(a2)["1.2"] == [(0, "2", ())]
+    assert hm.ascent_sources(a2)["1.2.1"] == [(0, "2.1", ()), (1, "1.2", ())]
+
+
+def test_costandard_derivation_rejects_disagreeing_sources():
+    # raising pInf's orbit makes the two T-ascents to wt force different beta(m_wt)
+    obj = dm.builtin_datum("sl2-T").to_jsonable()
+    del obj["costandard"]
+    next(o for o in obj["orbits"] if o["id"] == "inf")["dim"] = 1
+    with pytest.raises(DatumError, match="^duality propagation inconsistent at parameter wt$"):
+        hm.costandard_table(dm.load_datum(json.dumps(obj)))
 
 
 def test_costandard_underivable_without_table():

@@ -1,3 +1,4 @@
+import json
 import re
 
 import pytest
@@ -8,11 +9,94 @@ from klvwb import hecke
 from klvwb import hmodule as hm
 from klvwb import klv
 from klvwb.errors import DatumError, NonGeometricDatum
-from klvwb.laurent import ONE, parse_poly, render_poly
+from klvwb.laurent import ONE, LaurentPoly, parse_poly, render_poly
 
 
 def table_dict(table):
     return {(g, d): render_poly(p) for g, d, p in table.rows()}
+
+
+def _beta_correction_columns(d):
+    """Reference table: start each L_delta at m_delta and subtract lower
+    columns until the dense beta fixes it, one beta per correction."""
+    columns = {}
+    index = d.basis_index
+    for delta in d.basis:
+        twist = LaurentPoly.monomial(1, delta.dim)
+        vec = hm.basis_vector(d, delta.id)
+        while True:
+            diff = hm.beta(vec, d).scale(twist) - vec
+            if diff.is_zero():
+                break
+            gamma = max(diff.coords, key=index.__getitem__)
+            assert index[gamma] < index[delta.id]
+            gap = delta.dim - d.param_by_id[gamma].dim
+            fix = (-diff.coords[gamma]).truncate((gap - 1) // 2)
+            assert not fix.is_zero()
+            vec = vec - columns[gamma].scale(fix)
+        columns[delta.id] = vec
+    return columns
+
+
+ORACLE_DATUMS = ["sl2-T", "sl2-N"] + [
+    f"hecke-regular:{label}" for label in ("A1", "A2", "B2", "G2", "A3", "C3")
+]
+
+
+@pytest.mark.parametrize("name", ORACLE_DATUMS)
+def test_ascent_recursion_matches_beta_correction(name):
+    d = dm.builtin_datum(name)
+    table = klv.klv_table(d)
+    expected = _beta_correction_columns(d)
+    assert list(table.columns) == list(expected)
+    for delta, col in expected.items():
+        assert table.column(delta).coords == col.coords, delta
+
+
+def test_d4_table_passes_verifier_and_equals_kl_basis():
+    d = dm.builtin_datum("hecke-regular:D4")
+    table = klv.klv_table(d)
+    assert klv.verify_klv_table(table, d) == []
+    sys = d.coxeter
+    basis = hecke.kl_basis(sys)
+    for w in sys.elements():
+        expected = {sys.element_token(x): p for x, p in basis.c(w).terms.items()}
+        assert table.column(sys.element_token(w)).coords == expected
+
+
+@pytest.mark.parametrize("name", ["hecke-regular:B2", "sl2-T"])
+def test_sweep_removes_any_symmetric_lower_combination(name):
+    # coefficients symmetric about gap/2 that are not a single middle term,
+    # some below q^0: the sweep has to rebuild each from its upper half
+    d = dm.builtin_datum(name)
+    table = klv.klv_table(d)
+    delta = d.basis[-1]
+    v = table.column(delta.id)
+    for gamma in d.basis[:-1]:
+        gap = delta.dim - gamma.dim
+        c = LaurentPoly({-1: 2, gap + 1: 2, gap // 2: 3, gap - gap // 2: 3})
+        v = v + table.column(gamma.id).scale(c)
+    assert klv._selfdual_column(d, table.columns, delta, v) == table.column(delta.id)
+    assert klv._selfdual_column(d, table.columns, delta, v.scale(ONE + ONE)) is None
+
+
+def test_incompatible_duality_falls_back_to_beta_correction():
+    obj = dm.builtin_datum("hecke-regular:A1").to_jsonable()
+    # still unitriangular with beta^2 = id, but beta no longer intertwines T_s
+    obj["costandard"]["1"]["e"] = "2-2q"
+    d = dm.load_datum(json.dumps(obj))
+    assert dm.validate_datum(d).ok
+    table = klv.klv_table(d)
+    # the ascent seed (T_s + 1) m_e would give P[e,1] = 1, which is not self-dual here
+    assert render_poly(table.p("e", "1")) == "2"
+    assert klv.verify_klv_table(table, d) == []
+    expected = _beta_correction_columns(d)
+    for delta, col in expected.items():
+        assert table.column(delta).coords == col.coords, delta
+    involution = next(c for c in checks.run_check_suites(d).checks if c.name == "involution")
+    assert involution.detail == (
+        "beta(T1 m[e]) != bar(T1) beta(m[e]); beta(T1 m[1]) != bar(T1) beta(m[1])"
+    )
 
 
 def test_sl2_t_table():
