@@ -69,12 +69,11 @@ def _hecke_oracle(d: dm.OrbitDatum) -> dm.CheckResult:
 
 
 def _involution_suite(d: dm.OrbitDatum) -> dm.CheckResult:
+    # beta^2 = id is validation's costandard-involution check, which has
+    # passed before any suite runs; what is left is compatibility with T_s
     compatibility = hm.compatibility_problems(d)
     problems = []
     for p in d.params:
-        v = hm.basis_vector(d, p.id)
-        if hm.beta(hm.beta(v, d), d) != v:
-            problems.append(f"beta^2 != id at {p.id}")
         problems.extend(compatibility[p.id])
     return dm.CheckResult(
         "involution", not problems,

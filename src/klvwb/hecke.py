@@ -172,10 +172,6 @@ def mul_T(a: HeckeElt, b: HeckeElt) -> HeckeElt:
     return a * b
 
 
-def bar_hecke(a: HeckeElt) -> HeckeElt:
-    return a.bar()
-
-
 def _bar_table(sys: CoxeterSystem) -> dict[CoxElt, HeckeElt]:
     """bar(T_w) for every w, built along the length recursion."""
     cached = getattr(sys, "_hecke_bar_table", None)
@@ -202,11 +198,17 @@ def _bar_table(sys: CoxeterSystem) -> dict[CoxElt, HeckeElt]:
 
 
 class KLBasis:
-    """The family C_w with its polynomials P_{x,w}."""
+    """The family C_w with its polynomials P_{x,w}.
 
-    def __init__(self, sys: CoxeterSystem, table: dict[CoxElt, HeckeElt]):
+    mus[w] lists (z, mu(z, w)) for every z < w with nonzero mu, on element
+    indices of the system, in increasing z; mu(z, w) is the coefficient of
+    q^{(l(w)-l(z)-1)/2} in P_{z,w}, zero unless l(w) - l(z) is odd.
+    """
+
+    def __init__(self, sys: CoxeterSystem, table: dict[CoxElt, HeckeElt], mus):
         self.system = sys
         self.table = table
+        self.mus = mus
 
     def c(self, w: CoxElt) -> HeckeElt:
         return self.table[w]
@@ -229,7 +231,8 @@ def kl_basis(sys: CoxeterSystem) -> KLBasis:
     and z runs over z < v (Kazhdan-Lusztig, Invent. Math. 53 (1979)).  Read
     from the side of v's column, the first two terms add each P_{x,v} to
     both x and xs, times q if xs < x.  Each finished column keeps its
-    nonzero mu list for the columns above it.
+    nonzero mu list for the columns above it; the lists stay on the result
+    as KLBasis.mus, where klv.c_expansion reads its W-graph edges.
     """
     cached = getattr(sys, "_kl_basis_cache", None)
     if cached is not None:
@@ -265,7 +268,7 @@ def kl_basis(sys: CoxeterSystem) -> KLBasis:
         w: HeckeElt(sys, {els[x]: LaurentPoly._raw(p) for x, p in col.items()})
         for w, col in zip(els, cols)
     }
-    out = KLBasis(sys, table)
+    out = KLBasis(sys, table, mus)
     sys._kl_basis_cache = out
     return out
 

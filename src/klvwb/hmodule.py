@@ -347,7 +347,10 @@ def t_matrix_columns(d: dm.OrbitDatum, w: CoxElt) -> dict[str, ModuleVector]:
 
 
 def c_matrix_columns(d: dm.OrbitDatum, w: CoxElt) -> dict[str, ModuleVector]:
-    """Columns of the C_w action: sum of P_{x,w} T_x columns."""
+    """Columns of the C_w action: sum of P_{x,w} T_x columns.
+
+    klv.c_expansion reads these for the identity and the generators only;
+    longer elements follow from them by the W-graph recursion."""
     mats = d._cache.setdefault("c_mats", {})
     col = mats.get(w)
     if col is not None:

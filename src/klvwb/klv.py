@@ -17,9 +17,17 @@ verify_klv_table re-checks every defining property with the dense beta,
 independently of the solver, so the algorithm itself is replaceable.
 
 On top of the table: mu extracts extreme-degree coefficients, c_expansion
-expresses C_w . L_tau in the self-dual basis (exact unitriangular back
-substitution, no division), and is_clean / is_cuspidal / parity_check are
-the executable forms of the structural corollaries.
+expresses C_w . L_tau in the self-dual basis, and is_clean / is_cuspidal /
+parity_check are the executable forms of the structural corollaries.
+c_expansion follows the W-graph of the KL basis (Kazhdan-Lusztig, Invent.
+Math. 53 (1979), sections 1-2): for a left descent s of w and w' = s w,
+
+    C_s C_w' = C_w + sum_{z < w', sz < z} mu(z, w') q^{(l(w)-l(z))/2} C_z,
+
+an identity in the Hecke algebra and so in every datum's module.  Only the
+identity and the generators are expanded from their dense C_w columns
+(exact unitriangular back substitution, no division); every longer w is
+read off shorter expansions and the mu lists of hecke.kl_basis.
 """
 
 from __future__ import annotations
@@ -28,7 +36,8 @@ from . import datum as dm
 from . import hmodule as hm
 from .coxeter import CoxElt
 from .errors import DatumError, NonGeometricDatum
-from .laurent import ONE, LaurentPoly, paccum, pneg, render_poly
+from .hecke import kl_basis
+from .laurent import ONE, LaurentPoly, paccum, paccum_scaled, pneg, render_poly
 
 # bounds the dense correction steps of a _beta_column, the columns the
 # ascent recursion does not seed
@@ -214,25 +223,93 @@ def _as_element(d: dm.OrbitDatum, w) -> CoxElt:
 
 
 def c_expansion(d: dm.OrbitDatum, w, tau: str) -> dict[str, LaurentPoly]:
-    """Coefficients of C_w . L_tau in the self-dual basis.
+    """Coefficients of C_w . L_tau in the self-dual basis, keyed in
+    descending basis order, zero coefficients dropped.
 
-    Computed in the standard basis, then solved back through the
-    unitriangular table, highest position first; no division occurs.
-    Each (w, tau) is expanded once per datum and memoized; callers get a
-    copy, so mutating the result cannot corrupt the memo.
+    Generators and the identity are expanded densely; every longer w
+    follows from them by the W-graph recursion of _expand.  Each (w, tau)
+    is expanded once per datum and memoized; callers get a copy, so
+    mutating the result cannot corrupt the memo.
     """
     table = klv_table(d)
     w = _as_element(d, w)
     if tau not in d.param_by_id:
         raise DatumError(f"unknown parameter {tau!r}")
+    return dict(_expansion(d, table, w, tau))
+
+
+def _expansion(d: dm.OrbitDatum, table: KLVTable, w: CoxElt, tau: str):
+    """The memoized expansion itself; read it, never mutate it."""
     memo = d._cache.setdefault("c_expansion", {})
     out = memo.get((w, tau))
     if out is None:
         out = memo[(w, tau)] = _expand(d, table, w, tau)
-    return dict(out)
+    return out
 
 
 def _expand(d: dm.OrbitDatum, table: KLVTable, w: CoxElt, tau: str):
+    """C_w . L_tau in the self-dual basis.
+
+    For l(w) <= 1, C_w acts through its dense column matrix in the standard
+    basis and the product is solved back through the unitriangular table,
+    highest position first; no division occurs.  The generators are where
+    the recursion starts, since only the datum's descriptors say how C_s
+    acts, and their matrices are single T_s columns plus the identity, so
+    the dense path stays for these (rank + 1) * |params| expansions only.
+
+    For longer w, take the first left descent s of w and w' = s w.  The
+    Kazhdan-Lusztig multiplication rule, an identity in the Hecke algebra
+    and so in every datum's module, gives
+
+        C_w = C_s C_w' - sum_{z < w', sz < z} mu(z, w') q^{(l(w)-l(z))/2} C_z,
+
+    so E[w][tau] = sum_gamma E[w'][tau]_gamma E[s][gamma] minus the mu
+    terms E[z][tau], with every shorter expansion read from the memo.
+    """
+    if w.length <= 1:
+        return _dense_expand(d, table, w, tau)
+    s, prev, edges = _wgraph_step(d, w)
+    gen = d.coxeter.generator(s)
+    acc: dict[str, dict] = {}
+    for gamma, c in _expansion(d, table, prev, tau).items():
+        for row, e in _expansion(d, table, gen, gamma).items():
+            a = acc.get(row)
+            if a is None:
+                a = acc[row] = {}
+            paccum(a, c._c, e._c)
+    for z, mu, shift in edges:
+        for row, c in _expansion(d, table, z, tau).items():
+            a = acc.get(row)
+            if a is None:
+                a = acc[row] = {}
+            paccum_scaled(a, c._c, -mu, shift)
+    index = d.basis_index
+    return {
+        row: LaurentPoly._raw(acc[row])
+        for row in sorted(acc, key=index.__getitem__, reverse=True)
+        if acc[row]
+    }
+
+
+def _wgraph_step(d: dm.OrbitDatum, w: CoxElt):
+    """(s, s w, [(z, mu(z, s w), (l(w) - l(z))/2)] over the z with sz < z),
+    for the first left descent s of w; memoized per datum."""
+    steps = d._cache.setdefault("wgraph_steps", {})
+    step = steps.get(w)
+    if step is None:
+        sys = d.coxeter
+        s = next(t for t in range(sys.rank) if w.has_left_descent(t))
+        prev = sys.generator(s) * w
+        els = sys.elements()
+        edges = []
+        for z, mu in kl_basis(sys).mus[sys.index(prev)]:
+            if els[z].has_left_descent(s):
+                edges.append((els[z], mu, (w.length - els[z].length) // 2))
+        step = steps[w] = (s, prev, edges)
+    return step
+
+
+def _dense_expand(d: dm.OrbitDatum, table: KLVTable, w: CoxElt, tau: str):
     residual = hm.matrix_apply(hm.c_matrix_columns(d, w), table.column(tau))
     # matrix_apply hands back freshly built coefficient dicts, so the
     # residual is reduced in place through them

@@ -92,6 +92,20 @@ def test_validate_planted_fault_golden(tmp_path, golden):
     assert body == (GOLDEN / golden).read_bytes()
 
 
+def test_check_reports_a_non_involutive_duality_on_its_validation_line(tmp_path):
+    # beta^2 = id is tested once, by validation; the suites never run here
+    obj = dm.builtin_datum("sl2-T").to_jsonable()
+    obj["costandard"]["ws"] = {"ws": "1", "p0": "1"}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    code, body = run_to_file(tmp_path, ["check", "--datum", str(path), "--format", "csv"])
+    assert code == 1
+    assert body == (
+        b"status,suite,detail\n"
+        b"FAIL,validation,costandard-involution: beta^2 != id at ws\n"
+    )
+
+
 def test_klv_csv_has_expected_rows(tmp_path):
     code, body = run_to_file(tmp_path, ["klv", "--builtin", "sl2-T", "--format", "csv"])
     assert code == 0

@@ -8,7 +8,6 @@ from klvwb.hecke import (
     HeckeElt,
     KLBasis,
     T,
-    bar_hecke,
     kl_basis,
     kl_table_csv,
     mul_T,
@@ -93,7 +92,7 @@ def test_bar_of_generator():
     # oracle: bar(T_s) must be the two-sided inverse of T_s
     sys = build_system("A1")
     ts = T(sys, [0])
-    b = bar_hecke(ts)
+    b = ts.bar()
     assert mul_T(b, ts) == unit(sys)
     assert mul_T(ts, b) == unit(sys)
     expected = HeckeElt(
@@ -105,7 +104,7 @@ def test_bar_of_generator():
 def test_bar_fixed_line():
     sys = build_system("A1")
     a = unit(sys) + T(sys, [0])
-    assert bar_hecke(a) == a.scale(parse_poly("q^-1"))
+    assert a.bar() == a.scale(parse_poly("q^-1"))
 
 
 def test_bar_is_involution_and_multiplicative():
@@ -114,8 +113,8 @@ def test_bar_is_involution_and_multiplicative():
         sys = build_system(label)
         for _ in range(25):
             a, b = rand_elt(sys, rng), rand_elt(sys, rng)
-            assert bar_hecke(bar_hecke(a)) == a
-            assert bar_hecke(mul_T(a, b)) == mul_T(bar_hecke(a), bar_hecke(b))
+            assert a.bar().bar() == a
+            assert mul_T(a, b).bar() == mul_T(a.bar(), b.bar())
 
 
 def test_kl_basis_a1():
@@ -211,6 +210,44 @@ def test_kl_basis_d4_passes_verifier():
     assert len(set(polys)) == 10
 
 
+@pytest.mark.parametrize("label", ["A1", "A3", "C3"])
+def test_mu_lists_hold_every_nonzero_mu(label):
+    sys = build_system(label)
+    basis = kl_basis(sys)
+    els = sys.elements()
+    assert len(basis.mus) == len(els)
+    for i, w in enumerate(els):
+        expected = []
+        for j, z in enumerate(els):
+            gap = w.length - z.length
+            if z == w or gap % 2 == 0 or not sys.leq_bruhat(z, w):
+                continue
+            mu = basis.p(z, w).coefficient((gap - 1) // 2)
+            if mu:
+                expected.append((j, mu))
+        assert basis.mus[i] == expected, sys.element_token(w)
+
+
+def test_mu_lists_give_the_left_multiplication_rule():
+    # C_s C_w' = C_sw' + sum_{z < w', sz < z} mu(z, w') q^{(l(w')+1-l(z))/2} C_z
+    sys = build_system("A3")
+    basis = kl_basis(sys)
+    els = sys.elements()
+    for i, prev in enumerate(els):
+        for s in range(sys.rank):
+            gen = sys.generator(s)
+            w = gen * prev
+            if w.length < prev.length:
+                continue
+            rhs = basis.c(w)
+            for j, mu in basis.mus[i]:
+                z = els[j]
+                if z.has_left_descent(s):
+                    shift = (w.length - z.length) // 2
+                    rhs = rhs + basis.c(z).scale(LaurentPoly.monomial(mu, shift))
+            assert mul_T(basis.c(gen), basis.c(prev)) == rhs, (s, sys.element_token(prev))
+
+
 def test_verifier_catches_corruption():
     sys = build_system("A2")
     basis = kl_basis(sys)
@@ -218,7 +255,7 @@ def test_verifier_catches_corruption():
     w0 = sys.from_word([0, 1, 0])
     table[w0] = table[w0] + T(sys, sys.identity).scale(Q)
 
-    assert verify_kl_basis(KLBasis(sys, table)) != []
+    assert verify_kl_basis(KLBasis(sys, table, basis.mus)) != []
 
 
 def test_tokens():

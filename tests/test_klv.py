@@ -1,4 +1,5 @@
 import json
+import random
 import re
 
 import pytest
@@ -53,8 +54,14 @@ def test_ascent_recursion_matches_beta_correction(name):
         assert table.column(delta).coords == col.coords, delta
 
 
-def test_d4_table_passes_verifier_and_equals_kl_basis():
-    d = dm.builtin_datum("hecke-regular:D4")
+@pytest.fixture(scope="module")
+def d4():
+    """hecke-regular D4, shared so its table is solved once per module."""
+    return dm.builtin_datum("hecke-regular:D4")
+
+
+def test_d4_table_passes_verifier_and_equals_kl_basis(d4):
+    d = d4
     table = klv.klv_table(d)
     assert klv.verify_klv_table(table, d) == []
     sys = d.coxeter
@@ -215,6 +222,50 @@ def test_c_expansion_reconstructs_the_product(name):
             for gamma, c in klv.c_expansion(d, w, p.id).items():
                 total = total + t.column(gamma).scale(c)
             assert total == hm.matrix_apply(cols, t.column(p.id)), (w, p.id)
+
+
+def _dense_c_expansion(d, table, w, tau):
+    """Reference C_w . L_tau: the dense C_w columns applied to L_tau, then
+    L_top subtracted from the highest basis position down."""
+    residual = hm.matrix_apply(hm.c_matrix_columns(d, w), table.column(tau))
+    index = d.basis_index
+    out = {}
+    while not residual.is_zero():
+        top = max(residual.coords, key=index.__getitem__)
+        c = residual.coords[top]
+        out[top] = c
+        residual = residual - table.column(top).scale(c)
+    return out
+
+
+def _assert_matches_dense(d, pairs):
+    table = klv.klv_table(d)
+    for w, tau in pairs:
+        got = klv.c_expansion(d, w, tau)
+        expected = _dense_c_expansion(d, table, w, tau)
+        assert list(got.items()) == list(expected.items()), (
+            d.coxeter.element_token(w), tau
+        )
+
+
+@pytest.mark.parametrize(
+    "name", [*dm.BUILTIN_NAMES, "hecke-regular:G2", "hecke-regular:C3"]
+)
+def test_wgraph_expansion_matches_dense_product(name):
+    d = dm.builtin_datum(name)
+    _assert_matches_dense(d, [(w, p.id) for w in d.coxeter.elements() for p in d.params])
+
+
+def test_wgraph_expansion_matches_dense_product_on_a_d4_sample(d4):
+    d = d4
+    rng = random.Random(20)
+    els = d.coxeter.elements()
+    # each dense C_w matrix costs about 0.2 s here, so 50 pairs share five
+    # elements, w0 among them
+    sample = rng.sample(els[:-1], 4) + [els[-1]]
+    _assert_matches_dense(
+        d, [(w, p.id) for w in sample for p in rng.sample(d.params, 10)]
+    )
 
 
 def test_c_expansion_result_does_not_alias_the_memo():
