@@ -236,12 +236,6 @@ class CoxElt:
         img = inv.perm[sys._simple_root_idx[s]]
         return not _is_positive(sys.roots[img])
 
-    def apply_word(self, word) -> "CoxElt":
-        x = self
-        for s in word:
-            x = x.mul_gen(s)
-        return x
-
     def __repr__(self):
         return f"CoxElt(len={self.length})"
 

@@ -12,8 +12,9 @@ JSON files or produced by the builtin generators (two rank-one symmetric
 pictures, and the group-times-group family 'hecke-regular:<type>' whose
 module is the Hecke algebra itself).
 
-validate_datum is total and side-effect free; each named check is reported
-individually and downstream modules refuse datums whose report failed.
+validate_datum is total: each named check is reported individually, never
+raised.  It caches the report, and the action table it builds, on the
+datum; downstream modules refuse datums whose cached report failed.
 """
 
 from __future__ import annotations

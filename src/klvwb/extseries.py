@@ -57,28 +57,10 @@ def _q_columns(d: dm.OrbitDatum) -> dict[str, dict[str, object]]:
         return cached
     table = klvmod.klv_table(d)
     n_cols, _ = hm.costandard_table(d)
-    index = d.basis_index
     out = {}
     for delta in d.basis:
-        residual = dict(table.column(delta.id).coords)
-        coeffs = {}
-        while residual:
-            top = max(residual, key=index.__getitem__)
-            c = residual.pop(top)
-            if c.is_zero():
-                continue
-            coeffs[top] = c
-            for row, ncoef in n_cols[top].items():
-                if row == top:
-                    continue
-                drop = c * ncoef
-                cur = residual.get(row)
-                newval = (cur - drop) if cur is not None else -drop
-                if newval.is_zero():
-                    residual.pop(row, None)
-                else:
-                    residual[row] = newval
-        out[delta.id] = coeffs
+        acc = {pid: dict(c._c) for pid, c in table.column(delta.id).terms.items()}
+        out[delta.id] = hm.unitriangular_coords(d, acc, n_cols.__getitem__)
     d._cache["q_cols"] = out
     return out
 

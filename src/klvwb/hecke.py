@@ -17,81 +17,30 @@ of how a table was made, which also pins the table by uniqueness.
 from __future__ import annotations
 
 from .coxeter import CoxElt, CoxeterSystem
-from .errors import DomainError, SystemMismatch
-from .laurent import ONE, Q, ZERO, LaurentPoly, paccum, paccum_scaled, pbar, render_poly
+from .errors import DomainError
+from .laurent import ONE, Q, Combination, LaurentPoly, paccum_scaled, pbar, render_poly, vaccum
 
 _QM1 = Q - ONE  # q - 1
 
 
-class HeckeElt:
+class HeckeElt(Combination):
     """Finite Z[q,q^-1]-combination of standard basis elements T_w."""
 
-    __slots__ = ("system", "terms")
+    __slots__ = ()
+    _mismatch = "Hecke elements over different Coxeter systems"
 
-    def __init__(self, system: CoxeterSystem, terms=None):
-        self.system = system
-        self.terms: dict[CoxElt, LaurentPoly] = {}
-        if terms:
-            for w, c in terms.items():
-                if not c.is_zero():
-                    self.terms[w] = c
-
-    def _check(self, other: "HeckeElt"):
-        if self.system is not other.system:
-            raise SystemMismatch("Hecke elements over different Coxeter systems")
-
-    def __add__(self, other: "HeckeElt") -> "HeckeElt":
-        self._check(other)
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            s = out.get(w, ZERO) + c
-            if s.is_zero():
-                out.pop(w, None)
-            else:
-                out[w] = s
-        return HeckeElt(self.system, out)
-
-    def __sub__(self, other: "HeckeElt") -> "HeckeElt":
-        return self + other.scale(LaurentPoly.monomial(-1, 0))
-
-    def scale(self, c: LaurentPoly) -> "HeckeElt":
-        if c.is_zero():
-            return HeckeElt(self.system)
-        return HeckeElt(self.system, {w: cw * c for w, cw in self.terms.items()})
-
-    def coefficient(self, w: CoxElt) -> LaurentPoly:
-        return self.terms.get(w, ZERO)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, HeckeElt)
-            and self.system is other.system
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        raise TypeError("HeckeElt is not hashable")
+    @property
+    def system(self) -> CoxeterSystem:
+        return self.owner
 
     def mul_gen(self, s: int) -> "HeckeElt":
         """Right multiplication by T_s."""
-        out: dict[CoxElt, LaurentPoly] = {}
-        def _add(w, c):
-            v = out.get(w, ZERO) + c
-            if v.is_zero():
-                out.pop(w, None)
-            else:
-                out[w] = v
+        acc: dict[CoxElt, dict] = {}
         for x, c in self.terms.items():
             xs = x.mul_gen(s)
-            if xs.length > x.length:
-                _add(xs, c)
-            else:
-                _add(xs, c * Q)
-                _add(x, c * _QM1)
-        return HeckeElt(self.system, out)
+            column = ((xs, ONE),) if xs.length > x.length else ((xs, Q), (x, _QM1))
+            vaccum(acc, c._c, column)
+        return HeckeElt._raw(self.system, acc)
 
     def __mul__(self, other: "HeckeElt") -> "HeckeElt":
         self._check(other)
@@ -110,13 +59,8 @@ class HeckeElt:
         table = _bar_table(sys)
         acc: dict[CoxElt, dict] = {}
         for w, c in self.terms.items():
-            cbar = pbar(c._c)
-            for x, e in table[w].terms.items():
-                a = acc.get(x)
-                if a is None:
-                    a = acc[x] = {}
-                paccum(a, cbar, e._c)
-        return HeckeElt(sys, {x: LaurentPoly._raw(a) for x, a in acc.items()})
+            vaccum(acc, pbar(c._c), table[w].terms.items())
+        return HeckeElt._raw(sys, acc)
 
     def __str__(self) -> str:
         sys = self.system
@@ -311,17 +255,3 @@ def verify_kl_basis(basis: KLBasis) -> list[str]:
                     "degree bound exceeded"
                 )
     return problems
-
-
-def kl_table_csv(sys: CoxeterSystem) -> str:
-    """KL polynomial table as CSV rows 'x,w,P' in basis order."""
-    basis = kl_basis(sys)
-    lines = ["x,w,P"]
-    for w in sorted(sys.elements(), key=lambda v: _order_key(sys, v)):
-        c = basis.c(w)
-        for x in sorted(c.terms, key=lambda v: _order_key(sys, v)):
-            lines.append(
-                f"{sys.element_token(x)},{sys.element_token(w)},"
-                f"{render_poly(c.terms[x])}"
-            )
-    return "\n".join(lines) + "\n"

@@ -1,9 +1,11 @@
 """The Hecke-algebra module attached to an orbit datum.
 
 Vectors live in the free Z[q,q^-1]-module on the datum's parameters (the
-standard basis m_gamma).  Each simple reflection acts by the sparse matrix
-its case descriptors prescribe; arbitrary algebra elements act through
-reduced words, which the validated braid relations make well defined.
+standard basis m_gamma); ModuleVector is the laurent.Combination over the
+datum, as hecke.HeckeElt is over the Coxeter system.  Each simple
+reflection acts by the sparse matrix its case descriptors prescribe;
+arbitrary algebra elements act through reduced words, which the validated
+braid relations make well defined.
 
 beta is the bar-semilinear duality: beta(m_gamma) = q^-dim * n_gamma with
 n_gamma the costandard expansion.  The costandard table comes from the
@@ -17,6 +19,9 @@ ascent_sources indexes those U- and T-ascents by target once per datum;
 the derivation above and the self-dual basis solver both read it.
 compatibility_problems tests beta(T_s m) = bar(T_s) beta(m) on every basis
 vector, the law the solver's ascent recursion rests on.
+unitriangular_coords is the one top-down back substitution: klv expands
+C_w . L_tau in the self-dual basis with it, extseries rewrites that basis
+in the costandard one.
 """
 
 from __future__ import annotations
@@ -25,71 +30,25 @@ from . import datum as dm
 from .coxeter import CoxElt
 from .errors import DatumError, MissingCostandard, SystemMismatch
 from .hecke import HeckeElt, kl_basis, parse_token
-from .laurent import ONE, ZERO, LaurentPoly, paccum, pbar, render_poly
+from .laurent import ONE, Combination, LaurentPoly, pbar, pneg, render_poly, vaccum
 
-_MINUS_ONE = LaurentPoly.monomial(-1, 0)
 _QINV = LaurentPoly.monomial(1, -1)
 _QINV_MINUS_1 = _QINV - ONE
 
 
-class ModuleVector:
+class ModuleVector(Combination):
     """Finitely supported map parameter -> Laurent polynomial."""
 
-    __slots__ = ("datum", "coords")
+    __slots__ = ()
+    _mismatch = "vectors over different datums"
 
-    def __init__(self, datum: dm.OrbitDatum, coords=None):
-        self.datum = datum
-        self.coords: dict[str, LaurentPoly] = {}
-        if coords:
-            for pid, c in coords.items():
-                if not c.is_zero():
-                    self.coords[pid] = c
+    @property
+    def datum(self) -> dm.OrbitDatum:
+        return self.owner
 
-    @classmethod
-    def _raw(cls, datum, raw: dict[str, dict]) -> "ModuleVector":
-        v = cls.__new__(cls)
-        v.datum = datum
-        v.coords = {pid: LaurentPoly._raw(c) for pid, c in raw.items() if c}
-        return v
-
-    def _check(self, other: "ModuleVector"):
-        if self.datum is not other.datum:
-            raise SystemMismatch("vectors over different datums")
-
-    def __add__(self, other: "ModuleVector") -> "ModuleVector":
-        self._check(other)
-        out = dict(self.coords)
-        for pid, c in other.coords.items():
-            s = out.get(pid, ZERO) + c
-            if s.is_zero():
-                out.pop(pid, None)
-            else:
-                out[pid] = s
-        return ModuleVector(self.datum, out)
-
-    def __sub__(self, other: "ModuleVector") -> "ModuleVector":
-        return self + other.scale(_MINUS_ONE)
-
-    def scale(self, c: LaurentPoly) -> "ModuleVector":
-        if c.is_zero():
-            return ModuleVector(self.datum)
-        return ModuleVector(self.datum, {pid: v * c for pid, v in self.coords.items()})
-
-    def coefficient(self, pid: str) -> LaurentPoly:
-        return self.coords.get(pid, ZERO)
-
-    def is_zero(self) -> bool:
-        return not self.coords
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ModuleVector)
-            and self.datum is other.datum
-            and self.coords == other.coords
-        )
-
-    def __hash__(self):
-        raise TypeError("ModuleVector is not hashable")
+    @property
+    def coords(self) -> dict[str, LaurentPoly]:
+        return self.terms
 
     def items_in_datum_order(self):
         return [(p.id, self.coords[p.id]) for p in self.datum.params if p.id in self.coords]
@@ -133,12 +92,8 @@ class ActionTable:
         """T_s . v"""
         cols = self.columns[s]
         out: dict[str, dict] = {}
-        for pid, c in v.coords.items():
-            for target, a in cols[pid]:
-                acc = out.get(target)
-                if acc is None:
-                    acc = out[target] = {}
-                paccum(acc, c._c, a._c)
+        for pid, c in v.terms.items():
+            vaccum(out, c._c, cols[pid])
         return ModuleVector._raw(self.datum, out)
 
     def apply_word(self, word, v: ModuleVector) -> ModuleVector:
@@ -259,13 +214,8 @@ def beta(x: ModuleVector, d: dm.OrbitDatum) -> ModuleVector:
     """The bar-semilinear duality involution."""
     cols = _beta_columns(d)
     out: dict[str, dict] = {}
-    for pid, c in x.coords.items():
-        barc = pbar(c._c)
-        for row, entry in cols[pid].coords.items():
-            acc = out.get(row)
-            if acc is None:
-                acc = out[row] = {}
-            paccum(acc, barc, entry._c)
+    for pid, c in x.terms.items():
+        vaccum(out, pbar(c._c), cols[pid].terms.items())
     return ModuleVector._raw(d, out)
 
 
@@ -301,7 +251,8 @@ def act(h, x: ModuleVector, d: dm.OrbitDatum) -> ModuleVector:
         basis_letter, w = parse_token(sys, h)
         if basis_letter == "T":
             return table.apply_word(sys.reduced_word(w), x)
-        return _act_c(d, w, x)
+        # C_w acts through its Kazhdan-Lusztig expansion in the T-basis
+        h = kl_basis(sys).c(w)
     if isinstance(h, HeckeElt):
         if h.system is not sys:
             raise SystemMismatch("Hecke element over a different Coxeter system")
@@ -310,17 +261,6 @@ def act(h, x: ModuleVector, d: dm.OrbitDatum) -> ModuleVector:
             out = out + table.apply_word(sys.reduced_word(w), x).scale(c)
         return out
     raise DatumError(f"cannot act by {h!r}")
-
-
-def _act_c(d: dm.OrbitDatum, w: CoxElt, x: ModuleVector) -> ModuleVector:
-    """C_w . x through the Kazhdan-Lusztig expansion of C_w in the T-basis."""
-    sys = d.coxeter
-    table = build_action_table(d)
-    cw = kl_basis(sys).c(w)
-    out = ModuleVector(d)
-    for v, p in cw.terms.items():
-        out = out + table.apply_word(sys.reduced_word(v), x).scale(p)
-    return out
 
 
 def t_matrix_columns(d: dm.OrbitDatum, w: CoxElt) -> dict[str, ModuleVector]:
@@ -360,11 +300,7 @@ def c_matrix_columns(d: dm.OrbitDatum, w: CoxElt) -> dict[str, ModuleVector]:
     for x, poly in cw.terms.items():
         tx = t_matrix_columns(d, x)
         for pid, out in sums.items():
-            for row, entry in tx[pid].coords.items():
-                acc = out.get(row)
-                if acc is None:
-                    acc = out[row] = {}
-                paccum(acc, entry._c, poly._c)
+            vaccum(out, poly._c, tx[pid].terms.items())
     col = {pid: ModuleVector._raw(d, out) for pid, out in sums.items()}
     mats[w] = col
     return col
@@ -372,11 +308,27 @@ def c_matrix_columns(d: dm.OrbitDatum, w: CoxElt) -> dict[str, ModuleVector]:
 
 def matrix_apply(columns: dict[str, ModuleVector], v: ModuleVector) -> ModuleVector:
     out: dict[str, dict] = {}
-    d = v.datum
-    for pid, c in v.coords.items():
-        for row, entry in columns[pid].coords.items():
-            acc = out.get(row)
-            if acc is None:
-                acc = out[row] = {}
-            paccum(acc, c._c, entry._c)
-    return ModuleVector._raw(d, out)
+    for pid, c in v.terms.items():
+        vaccum(out, c._c, columns[pid].terms.items())
+    return ModuleVector._raw(v.owner, out)
+
+
+def unitriangular_coords(d: dm.OrbitDatum, acc: dict, column_of) -> dict[str, LaurentPoly]:
+    """Coordinates of acc in a basis unitriangular over d's standard basis.
+
+    acc maps parameter ids to kernel dicts and is consumed in place, so its
+    dicts must be its own.  column_of(pid) is the basis vector at pid as
+    {row: LaurentPoly}: 1 at pid, all other rows lower in d.basis.  Top
+    down, the highest entry c of acc is the coordinate there, and c times
+    the rest of that column is subtracted; no division occurs.  The
+    coordinates come back keyed in descending basis order.
+    """
+    index = d.basis_index
+    out: dict[str, LaurentPoly] = {}
+    while acc:
+        top = max(acc, key=index.__getitem__)
+        c = acc.pop(top)
+        out[top] = LaurentPoly._raw(c)
+        vaccum(acc, pneg(c), column_of(top).items())
+        acc.pop(top, None)  # -c from the diagonal; top is solved already
+    return out

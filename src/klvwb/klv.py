@@ -37,7 +37,7 @@ from . import hmodule as hm
 from .coxeter import CoxElt
 from .errors import DatumError, NonGeometricDatum
 from .hecke import kl_basis
-from .laurent import ONE, LaurentPoly, paccum, paccum_scaled, pneg, render_poly
+from .laurent import ONE, LaurentPoly, render_poly, vaccum
 
 # bounds the dense correction steps of a _beta_column, the columns the
 # ascent recursion does not seed
@@ -127,15 +127,8 @@ def _selfdual_column(d: dm.OrbitDatum, columns, delta, v: hm.ModuleVector):
         for j, a in r.items():
             if j > half:
                 neg[j] = neg[gap - j] = -a
-        if not neg:
-            continue
-        for row, entry in columns[gamma.id].coords.items():
-            a = acc.get(row)
-            if a is None:
-                a = acc[row] = {}
-            paccum(a, neg, entry._c)
-            if not a:
-                del acc[row]
+        if neg:
+            vaccum(acc, neg, columns[gamma.id].terms.items())
     return hm.ModuleVector._raw(d, acc)
 
 
@@ -272,22 +265,13 @@ def _expand(d: dm.OrbitDatum, table: KLVTable, w: CoxElt, tau: str):
     gen = d.coxeter.generator(s)
     acc: dict[str, dict] = {}
     for gamma, c in _expansion(d, table, prev, tau).items():
-        for row, e in _expansion(d, table, gen, gamma).items():
-            a = acc.get(row)
-            if a is None:
-                a = acc[row] = {}
-            paccum(a, c._c, e._c)
+        vaccum(acc, c._c, _expansion(d, table, gen, gamma).items())
     for z, mu, shift in edges:
-        for row, c in _expansion(d, table, z, tau).items():
-            a = acc.get(row)
-            if a is None:
-                a = acc[row] = {}
-            paccum_scaled(a, c._c, -mu, shift)
+        vaccum(acc, {shift: -mu}, _expansion(d, table, z, tau).items())
     index = d.basis_index
     return {
         row: LaurentPoly._raw(acc[row])
         for row in sorted(acc, key=index.__getitem__, reverse=True)
-        if acc[row]
     }
 
 
@@ -313,25 +297,8 @@ def _dense_expand(d: dm.OrbitDatum, table: KLVTable, w: CoxElt, tau: str):
     residual = hm.matrix_apply(hm.c_matrix_columns(d, w), table.column(tau))
     # matrix_apply hands back freshly built coefficient dicts, so the
     # residual is reduced in place through them
-    acc = {pid: c._c for pid, c in residual.coords.items()}
-    index = d.basis_index
-    out: dict[str, LaurentPoly] = {}
-    while acc:
-        top = max(acc, key=index.__getitem__)
-        c = acc.pop(top)
-        out[top] = LaurentPoly._raw(c)
-        neg = pneg(c)
-        # P[top, top] = 1, so subtracting c * L_top clears the top entry
-        for row, entry in table.column(top).coords.items():
-            if row == top:
-                continue
-            a = acc.get(row)
-            if a is None:
-                a = acc[row] = {}
-            paccum(a, neg, entry._c)
-            if not a:
-                del acc[row]
-    return out
+    acc = {pid: c._c for pid, c in residual.terms.items()}
+    return hm.unitriangular_coords(d, acc, lambda pid: table.columns[pid].terms)
 
 
 def is_clean(table: KLVTable, tau: str) -> bool:
@@ -369,13 +336,13 @@ def parity_check(d: dm.OrbitDatum, window: int = 10) -> dm.ValidationReport:
     count = 0
     for gamma_id, delta_id, poly in table.rows():
         count += 1
-        if any(not isinstance(e, int) for e, _ in poly.items()):
+        if any(not isinstance(e, int) for e in poly._c):
             problems.append(f"P[{gamma_id},{delta_id}] has non-integer powers")
     for w in d.coxeter.elements():
         for p in d.params:
             for gamma_id, poly in c_expansion(d, w, p.id).items():
                 count += 1
-                if any(not isinstance(e, int) for e, _ in poly.items()):
+                if any(not isinstance(e, int) for e in poly._c):
                     problems.append(
                         f"c[{d.coxeter.element_token(w)},{p.id},{gamma_id}] "
                         "has non-integer powers"
@@ -409,9 +376,3 @@ def parity_check(d: dm.OrbitDatum, window: int = 10) -> dm.ValidationReport:
     )
     return dm.ValidationReport(checks)
 
-
-def klv_csv(table: KLVTable) -> str:
-    lines = ["gamma,delta,P"]
-    for gamma_id, delta_id, poly in table.rows():
-        lines.append(f"{gamma_id},{delta_id},{render_poly(poly)}")
-    return "\n".join(lines) + "\n"

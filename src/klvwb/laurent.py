@@ -8,15 +8,21 @@ shape taken by equivariant cohomology rings of stabilizers.
 The arithmetic itself is the pure-Python kernel below: functions on plain
 dicts mapping integer exponents to nonzero integer coefficients.  Each one
 either returns a fresh normalized dict (no zero values) or, for paccum and
-paccum_scaled, accumulates into its first argument in place.  The hecke,
-hmodule and klv inner loops call it directly on LaurentPoly._c.
+paccum_scaled, accumulates into its first argument in place.  vaccum lifts
+paccum to combinations: acc += c * column over {key: kernel dict} maps, the
+one accumulate loop of the hecke, hmodule and klv inner loops.
+
+Combination is a finite Z[q, q^-1]-combination of keys over one owner,
+with its arithmetic on the kernel dicts; hecke.HeckeElt (the Hecke algebra
+on its T_w basis) and hmodule.ModuleVector (a datum's module on its m_gamma
+basis) are its two kinds.
 """
 
 from __future__ import annotations
 
 import re
 
-from .errors import DomainError
+from .errors import DomainError, SystemMismatch
 
 
 def padd(a, b):
@@ -94,6 +100,19 @@ def paccum_scaled(acc, a, coeff, shift):
             acc[e2] = s
         else:
             del acc[e2]
+
+
+def vaccum(acc, c, column):
+    """acc += c * column, in place, for a kernel dict c: acc maps keys to
+    kernel dicts, column is (key, LaurentPoly) pairs, and an entry of acc
+    that cancels to zero is dropped."""
+    for key, e in column:
+        a = acc.get(key)
+        if a is None:
+            a = acc[key] = {}
+        paccum(a, c, e._c)
+        if not a:
+            del acc[key]
 
 
 class LaurentPoly:
@@ -231,10 +250,6 @@ class LaurentPoly:
     def __repr__(self) -> str:
         return f"LaurentPoly({render_poly(self)!r})"
 
-    @classmethod
-    def parse(cls, text: str) -> "LaurentPoly":
-        return parse_poly(text)
-
 
 def render_poly(p: LaurentPoly) -> str:
     """Canonical text form: increasing exponents, e.g. '1-q', 'q^-1+2q+q^2'."""
@@ -297,6 +312,67 @@ def parse_poly(text: str) -> LaurentPoly:
 ZERO = LaurentPoly.zero()
 ONE = LaurentPoly.one()
 Q = LaurentPoly.q()
+
+
+class Combination:
+    """Finite Z[q, q^-1]-combination of keys over one owner.
+
+    terms maps each key to its nonzero LaurentPoly coefficient.  Owners are
+    compared by identity, and combinations over different owners do not
+    mix: a subclass names the mismatch in _mismatch.
+    """
+
+    __slots__ = ("owner", "terms")
+    _mismatch = "combinations over different owners"
+
+    def __init__(self, owner, terms=None):
+        self.owner = owner
+        self.terms = {k: c for k, c in terms.items() if c._c} if terms else {}
+
+    @classmethod
+    def _raw(cls, owner, raw: dict):
+        """Wrap {key: kernel dict} without copying the dicts; empty ones are
+        dropped."""
+        v = cls.__new__(cls)
+        v.owner = owner
+        v.terms = {k: LaurentPoly._raw(c) for k, c in raw.items() if c}
+        return v
+
+    def _check(self, other: "Combination"):
+        if self.owner is not other.owner:
+            raise SystemMismatch(self._mismatch)
+
+    def _merge(self, other, op):
+        self._check(other)
+        raw = {k: c._c for k, c in self.terms.items()}
+        for k, c in other.terms.items():
+            raw[k] = op(raw.get(k, {}), c._c)
+        return self._raw(self.owner, raw)
+
+    def __add__(self, other):
+        return self._merge(other, padd)
+
+    def __sub__(self, other):
+        return self._merge(other, psub)
+
+    def scale(self, c: LaurentPoly):
+        return self._raw(self.owner, {k: pmul(v._c, c._c) for k, v in self.terms.items()})
+
+    def coefficient(self, key) -> LaurentPoly:
+        return self.terms.get(key, ZERO)
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, Combination)
+            and self.owner is other.owner
+            and self.terms == other.terms
+        )
+
+    def __hash__(self):
+        raise TypeError(f"{type(self).__name__} is not hashable")
 
 
 def _den_poly(factors) -> LaurentPoly:
@@ -426,7 +502,8 @@ def _divide_once(num: LaurentPoly, a: int):
     When it does, num / (1 - q^a) = num * (1 + q^a + q^2a + ...), whose
     coefficient at e is the running sum of num along e's residue chain up
     to e.  That sum returns to 0 at the chain's top term, where the quotient
-    st
+    stops: each run fills the exponents from one term of the chain up to the
+    next, and the top term starts none.
     """
     c = num._c
     sums: dict[int, int] = {}

@@ -37,6 +37,13 @@ def test_list_builtins(capsys):
         ),
         (["check", "--builtin", "hecke-regular:G2", "--format", "csv"], "hrG2_check.csv"),
         (["check", "--builtin", "hecke-regular:A3", "--format", "csv"], "hrA3_check.csv"),
+        (["klv", "--builtin", "hecke-regular:A1", "--format", "csv"], "hrA1_klv.csv"),
+        (["ext", "--builtin", "hecke-regular:B2", "--format", "csv"], "hrB2_ext.csv"),
+        (
+            ["act", "--builtin", "hecke-regular:B2", "--param", "2", "--word", "1,2,1",
+             "--basis", "C"],
+            "hrB2_act_C121.txt",
+        ),
     ],
 )
 def test_golden_outputs(tmp_path, argv, golden):

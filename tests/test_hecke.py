@@ -9,7 +9,6 @@ from klvwb.hecke import (
     KLBasis,
     T,
     kl_basis,
-    kl_table_csv,
     mul_T,
     parse_token,
     render_token,
@@ -264,12 +263,6 @@ def test_tokens():
     assert render_token(sys, w) == "T[1,2,1]"
     assert parse_token(sys, "T[1,2,1]") == ("T", w)
     assert parse_token(sys, "C[]") == ("C", sys.identity)
-
-
-def test_kl_table_csv_shape():
-    sys = build_system("A1")
-    csv = kl_table_csv(sys)
-    assert csv.splitlines() == ["x,w,P", "e,e,1", "e,1,1", "1,1,1"]
 
 
 def test_system_mismatch():

@@ -344,8 +344,3 @@ def test_non_geometric_datum_detected():
     with pytest.raises(NonGeometricDatum):
         klv.klv_table(bad)
 
-
-def test_klv_csv_rendering():
-    d = dm.builtin_datum("hecke-regular:A1")
-    text = klv.klv_csv(klv.klv_table(d))
-    assert text.splitlines() == ["gamma,delta,P", "e,e,1", "e,1,1", "1,1,1"]
