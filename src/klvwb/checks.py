@@ -62,10 +62,7 @@ def _hecke_oracle(d: dm.OrbitDatum) -> dm.CheckResult:
         if hecke.mul_T(cs, cs) != cs.scale(Q + ONE):
             problems.append(f"C{s + 1}^2 != (q+1) C{s + 1}")
     n = sys.order()
-    return dm.CheckResult(
-        "hecke-oracle", not problems,
-        "; ".join(problems) if problems else f"|W|={n}, quadratic+braid+kl-basis",
-    )
+    return dm.CheckResult.of("hecke-oracle", problems, f"|W|={n}, quadratic+braid+kl-basis")
 
 
 def _involution_suite(d: dm.OrbitDatum) -> dm.CheckResult:
@@ -75,10 +72,7 @@ def _involution_suite(d: dm.OrbitDatum) -> dm.CheckResult:
     problems = []
     for p in d.params:
         problems.extend(compatibility[p.id])
-    return dm.CheckResult(
-        "involution", not problems,
-        "; ".join(problems) if problems else f"{len(d.params)} basis vectors",
-    )
+    return dm.CheckResult.of("involution", problems, f"{len(d.params)} basis vectors")
 
 
 def _selfdual_suite(d: dm.OrbitDatum) -> dm.CheckResult:
@@ -103,10 +97,7 @@ def _selfdual_suite(d: dm.OrbitDatum) -> dm.CheckResult:
                             f"C[{d.coxeter.element_token(w)}] L[{p.id}] not self-dual"
                         )
                         break
-    return dm.CheckResult(
-        "selfdual-basis", not problems,
-        "; ".join(problems) if problems else f"{len(d.params)} columns verified",
-    )
+    return dm.CheckResult.of("selfdual-basis", problems, f"{len(d.params)} columns verified")
 
 
 def _cross_oracle(d: dm.OrbitDatum) -> dm.CheckResult:
@@ -122,10 +113,7 @@ def _cross_oracle(d: dm.OrbitDatum) -> dm.CheckResult:
         got = dict(table.column(token).coords)
         if expected != got:
             problems.append(f"table column {token} differs from the algebra oracle")
-    return dm.CheckResult(
-        "cross-oracle", not problems,
-        "; ".join(problems) if problems else f"{sys.order()} columns equal",
-    )
+    return dm.CheckResult.of("cross-oracle", problems, f"{sys.order()} columns equal")
 
 
 def _positivity_suite(d: dm.OrbitDatum) -> dm.CheckResult:
@@ -140,10 +128,7 @@ def _positivity_suite(d: dm.OrbitDatum) -> dm.CheckResult:
                         f"c[{d.coxeter.element_token(w)},{p.id},{gamma}] "
                         "has a negative coefficient"
                     )
-    return dm.CheckResult(
-        "positivity", not problems,
-        "; ".join(problems) if problems else f"{count} coefficients checked",
-    )
+    return dm.CheckResult.of("positivity", problems, f"{count} coefficients checked")
 
 
 def _cuspidal_clean_suite(d: dm.OrbitDatum) -> dm.CheckResult:
@@ -155,16 +140,14 @@ def _cuspidal_clean_suite(d: dm.OrbitDatum) -> dm.CheckResult:
             cuspidals.append(p.id)
             if not klvmod.is_clean(table, p.id):
                 problems.append(f"{p.id} is cuspidal but not clean")
-    return dm.CheckResult(
-        "cuspidal-clean", not problems,
-        "; ".join(problems) if problems else "cuspidals: " + (",".join(cuspidals) or "none"),
+    return dm.CheckResult.of(
+        "cuspidal-clean", problems, "cuspidals: " + (",".join(cuspidals) or "none")
     )
 
 
 def _parity_suite(d: dm.OrbitDatum, window: int) -> dm.CheckResult:
     report = klvmod.parity_check(d, window)
     problems = [f"{c.name}: {c.detail}" for c in report.checks if not c.passed]
-    detail = "; ".join(problems) if problems else "; ".join(
-        f"{c.name} ({c.detail})" for c in report.checks
+    return dm.CheckResult.of(
+        "parity", problems, "; ".join(f"{c.name} ({c.detail})" for c in report.checks)
     )
-    return dm.CheckResult("parity", not problems, detail)

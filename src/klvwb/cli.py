@@ -163,18 +163,22 @@ def _render_rows(args, header, rows) -> str:
     return _tabulate(header, rows)
 
 
-def _cmd_validate(args) -> int:
-    d = _resolve_datum(args)
-    report = dm.validate_datum(d)
+def _emit_report(args, d, report, column, verdicts) -> int:
+    """One status row per check; the table form ends with a verdict line,
+    verdicts[report.ok]."""
     rows = [
         ("PASS" if c.passed else "FAIL", c.name, c.detail) for c in report.checks
     ]
-    text = _render_rows(args, ("status", "check", "detail"), rows)
-    verdict = "VALID" if report.ok else "INVALID"
+    text = _render_rows(args, ("status", column, "detail"), rows)
     if args.format == "table":
-        text += f"datum {d.name}: {verdict}\n"
+        text += f"datum {d.name}: {verdicts[report.ok]}\n"
     _emit(args, text)
     return EXIT_OK if report.ok else EXIT_INVALID
+
+
+def _cmd_validate(args) -> int:
+    d = _resolve_datum(args)
+    return _emit_report(args, d, dm.validate_datum(d), "check", ("INVALID", "VALID"))
 
 
 def _cmd_klv(args) -> int:
@@ -248,14 +252,7 @@ def _cmd_ext(args) -> int:
 def _cmd_check(args) -> int:
     d = _resolve_datum(args)
     report = checksmod.run_check_suites(d, window=args.window)
-    rows = [
-        ("PASS" if c.passed else "FAIL", c.name, c.detail) for c in report.checks
-    ]
-    text = _render_rows(args, ("status", "suite", "detail"), rows)
-    if args.format == "table":
-        text += f"datum {d.name}: {'OK' if report.ok else 'FAILED'}\n"
-    _emit(args, text)
-    return EXIT_OK if report.ok else EXIT_INVALID
+    return _emit_report(args, d, report, "suite", ("FAILED", "OK"))
 
 
 def _cmd_list_builtins(args) -> int:

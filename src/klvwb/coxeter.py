@@ -10,10 +10,13 @@ Enumeration also numbers the elements 0..|W|-1 in breadth-first order and
 keeps integer tables of right multiplication by each generator and of
 lengths, so inner loops can run on ints, as in du Cloux's Coxeter program
 ("Computing Kazhdan-Lusztig polynomials for arbitrary Coxeter groups",
-Experiment. Math. 11 (2002)).
+Experiment. Math. 11 (2002)).  Like that program, every table derived from
+a system or from a datum over it is built once per owner, through memoized.
 """
 
 from __future__ import annotations
+
+from functools import wraps
 
 from .errors import SystemMismatch, UnsupportedType
 
@@ -33,6 +36,27 @@ _MAX_RANK = 4
 _MAX_ROOTS = 60  # F4 has 48 roots; anything past this is not a rank<=4 Weyl group
 
 _COXETER_M = {0: 2, 1: 3, 2: 4, 3: 6}  # m_st from the product a_st*a_ts
+
+_MISSING = object()
+
+
+def memoized(fn):
+    """Memoize fn(owner, *args) in owner._cache, keyed by fn and args.
+
+    An exception is never stored, so a failing call raises again.  A stored
+    result is shared by every caller: read it, never mutate it.
+    """
+
+    @wraps(fn)
+    def wrapper(owner, *args):
+        cache = owner._cache
+        key = (fn, *args)
+        out = cache.get(key, _MISSING)
+        if out is _MISSING:
+            out = cache[key] = fn(owner, *args)
+        return out
+
+    return wrapper
 
 
 class CoxeterSystem:
@@ -61,6 +85,7 @@ class CoxeterSystem:
         self._elements = None
         self._words = None
         self._leq_memo = {}
+        self._cache: dict = {}
         self._simple_root_idx = tuple(
             self._root_index[tuple(1 if j == s else 0 for j in range(self.rank))]
             for s in range(self.rank)

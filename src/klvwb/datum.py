@@ -13,8 +13,9 @@ pictures, and the group-times-group family 'hecke-regular:<type>' whose
 module is the Hecke algebra itself).
 
 validate_datum is total: each named check is reported individually, never
-raised.  It caches the report, and the action table it builds, on the
-datum; downstream modules refuse datums whose cached report failed.
+raised; downstream modules refuse datums whose report failed.  It and
+every table derived from a datum are built once per datum, through
+coxeter.memoized.
 """
 
 from __future__ import annotations
@@ -629,6 +630,7 @@ def dump_datum(d: OrbitDatum) -> str:
     return json.dumps(d.to_jsonable(), indent=2, sort_keys=False) + "\n"
 
 
+@cox.memoized
 def s_star(d: OrbitDatum, s: int, orbit_id: str) -> str:
     """The ascent operation on orbits for one simple reflection.
 
@@ -659,6 +661,11 @@ class CheckResult:
     passed: bool
     detail: str = ""
 
+    @classmethod
+    def of(cls, name: str, problems: list[str], passed_detail: str = "") -> "CheckResult":
+        """Passed iff problems is empty; the detail lists them, or is passed_detail."""
+        return cls(name, not problems, "; ".join(problems) if problems else passed_detail)
+
 
 class ValidationReport:
     def __init__(self, checks):
@@ -671,17 +678,10 @@ class ValidationReport:
     def failed_names(self):
         return [c.name for c in self.checks if not c.passed]
 
-    def lines(self):
-        out = []
-        for c in self.checks:
-            status = "PASS" if c.passed else "FAIL"
-            suffix = f": {c.detail}" if c.detail else ""
-            out.append(f"{status} {c.name}{suffix}")
-        return out
 
-
+@cox.memoized
 def validate_datum(d: OrbitDatum) -> ValidationReport:
-    """Run the named semantic checks; the report is cached on the datum."""
+    """Run the named semantic checks, once per datum."""
     from . import hmodule  # deferred: hmodule needs the types above
 
     checks = []
@@ -714,9 +714,7 @@ def validate_datum(d: OrbitDatum) -> ValidationReport:
         unreached = sorted(o.id for o in d.orbits if o.id not in reachable)
         if unreached:
             problems.append("orbit(s) unreachable by ascents: " + ", ".join(unreached))
-    checks.append(
-        CheckResult("thm-order-reachability", not problems, "; ".join(problems))
-    )
+    checks.append(CheckResult.of("thm-order-reachability", problems))
     if problems and any("missing descriptor" in p for p in problems):
         # remaining checks assume a complete action table
         checks.append(CheckResult("sstar-monotone", False, "skipped: incomplete actions"))
@@ -726,9 +724,7 @@ def validate_datum(d: OrbitDatum) -> ValidationReport:
         checks.append(CheckResult("costandard-involution", False, "skipped: incomplete actions"))
         checks.append(_check_dims(d))
         checks.append(_check_poincare(d))
-        report = ValidationReport(checks)
-        d._cache["validation"] = report
-        return report
+        return ValidationReport(checks)
 
     # (2) s-star is monotone and idempotent on orbits
     problems = []
@@ -748,7 +744,7 @@ def validate_datum(d: OrbitDatum) -> ValidationReport:
                 continue
             if ww != w:
                 problems.append(f"s{s + 1}* not idempotent at {o.id}: {w} -> {ww}")
-    checks.append(CheckResult("sstar-monotone", not problems, "; ".join(problems)))
+    checks.append(CheckResult.of("sstar-monotone", problems))
 
     # (3) quadratic relation for each generator matrix
     table = hmodule.build_action_table(d)
@@ -761,7 +757,7 @@ def validate_datum(d: OrbitDatum) -> ValidationReport:
             rhs = tsv.scale(Q - ONE) + v.scale(Q)
             if lhs != rhs:
                 problems.append(f"(T+1)(T-q) != 0 at (s{s + 1}, {p.id})")
-    checks.append(CheckResult("quadratic-relation", not problems, "; ".join(problems)))
+    checks.append(CheckResult.of("quadratic-relation", problems))
 
     # (4) braid relations for all generator pairs
     problems = []
@@ -776,14 +772,14 @@ def validate_datum(d: OrbitDatum) -> ValidationReport:
                     right = table.apply(t if k % 2 == 0 else s, right)
                 if left != right:
                     problems.append(f"braid (s{s + 1}, s{t + 1}) fails at {p.id}")
-    checks.append(CheckResult("braid-relations", not problems, "; ".join(problems)))
+    checks.append(CheckResult.of("braid-relations", problems))
 
     # (5) link mirroring between ascent and descent descriptors
     problems = []
     for s in range(d.coxeter.rank):
         for p in d.params:
             d.descriptor(s, p.id).check_links(_Row(d, s, p.id, problems))
-    checks.append(CheckResult("link-mirroring", not problems, "; ".join(problems)))
+    checks.append(CheckResult.of("link-mirroring", problems))
 
     # (6) costandard table (given or derived) defines an involution
     checks.append(_check_costandard(d))
@@ -794,9 +790,7 @@ def validate_datum(d: OrbitDatum) -> ValidationReport:
     # supplementary schema invariant: stabilizer series start at 1
     checks.append(_check_poincare(d))
 
-    report = ValidationReport(checks)
-    d._cache["validation"] = report
-    return report
+    return ValidationReport(checks)
 
 
 def _check_costandard(d: OrbitDatum) -> CheckResult:
@@ -826,8 +820,7 @@ def _check_costandard(d: OrbitDatum) -> CheckResult:
             bb = hmodule.beta(hmodule.beta(v, d), d)
             if bb != v:
                 problems.append(f"beta^2 != id at {p.id}")
-    detail = "; ".join(problems) if problems else f"table {origin}"
-    return CheckResult("costandard-involution", not problems, detail)
+    return CheckResult.of("costandard-involution", problems, f"table {origin}")
 
 
 def _check_dims(d: OrbitDatum) -> CheckResult:
@@ -846,7 +839,7 @@ def _check_dims(d: OrbitDatum) -> CheckResult:
             ]
             if below:
                 problems.append(f"closed orbit {o.id} is not minimal (above {below[0]})")
-    return CheckResult("dim-closure-consistency", not problems, "; ".join(problems))
+    return CheckResult.of("dim-closure-consistency", problems)
 
 
 def _check_poincare(d: OrbitDatum) -> CheckResult:
@@ -859,14 +852,12 @@ def _check_poincare(d: OrbitDatum) -> CheckResult:
             problems.append(f"poincare[{pid}] has negative exponents")
         elif series.num.coefficient(0) != 1:
             problems.append(f"poincare[{pid}] constant term is not 1")
-    return CheckResult("poincare-normalization", not problems, "; ".join(problems))
+    return CheckResult.of("poincare-normalization", problems)
 
 
 def ensure_valid(d: OrbitDatum) -> None:
     """Gate for downstream modules: validate once, then raise on failure."""
-    report = d._cache.get("validation")
-    if report is None:
-        report = validate_datum(d)
+    report = validate_datum(d)
     if not report.ok:
         raise DatumInvalid(report.failed_names())
 

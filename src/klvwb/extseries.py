@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from . import datum as dm
 from . import hmodule as hm
 from . import klv as klvmod
+from .coxeter import memoized
 from .errors import DatumError
 from .laurent import PoincareSeries, render_series
 
@@ -50,19 +51,26 @@ class ExtSeries:
         return {2 * m - self.degree_offset: c for m, c in sorted(exp.items()) if c}
 
 
+@memoized
 def _q_columns(d: dm.OrbitDatum) -> dict[str, dict[str, object]]:
     """Self-dual basis rewritten in the costandard basis (triangular solve)."""
-    cached = d._cache.get("q_cols")
-    if cached is not None:
-        return cached
     table = klvmod.klv_table(d)
     n_cols, _ = hm.costandard_table(d)
     out = {}
     for delta in d.basis:
         acc = {pid: dict(c._c) for pid, c in table.column(delta.id).terms.items()}
         out[delta.id] = hm.unitriangular_coords(d, acc, n_cols.__getitem__)
-    d._cache["q_cols"] = out
     return out
+
+
+def _pair(d: dm.OrbitDatum, weights) -> PoincareSeries:
+    """sum of weight * poincare[eps] over the (eps, weight) pairs in basis
+    order; zero weights are skipped, and each partial sum is reduced."""
+    total = PoincareSeries.zero()
+    for eps, weight in weights:
+        if not weight.is_zero():
+            total = total + d.poincare[eps] * weight
+    return total
 
 
 def ext_poincare(d: dm.OrbitDatum, tau: str, gamma: str) -> ExtSeries:
@@ -74,16 +82,11 @@ def ext_poincare(d: dm.OrbitDatum, tau: str, gamma: str) -> ExtSeries:
     q_cols = _q_columns(d)
     p_col = table.column(tau).coords
     q_col = q_cols[gamma]
-    total = PoincareSeries.zero()
-    for eps in d.basis:
-        p_entry = p_col.get(eps.id)
-        q_entry = q_col.get(eps.id)
-        if p_entry is None or q_entry is None:
-            continue
-        weight = p_entry.bar() * q_entry
-        if weight.is_zero():
-            continue
-        total = total + d.poincare[eps.id] * weight
+    total = _pair(d, (
+        (eps.id, p_col[eps.id].bar() * q_col[eps.id])
+        for eps in d.basis
+        if eps.id in p_col and eps.id in q_col
+    ))
     offset = d.param_by_id[gamma].dim - d.param_by_id[tau].dim
     return ExtSeries(tau=tau, gamma=gamma, series=total, degree_offset=offset)
 
@@ -94,12 +97,7 @@ def ic_cohomology(d: dm.OrbitDatum, tau: str) -> ExtSeries:
         raise DatumError(f"unknown parameter {tau!r}")
     klvmod.klv_table(d)
     q_col = _q_columns(d)[tau]
-    total = PoincareSeries.zero()
-    for eps in d.basis:
-        q_entry = q_col.get(eps.id)
-        if q_entry is None or q_entry.is_zero():
-            continue
-        total = total + d.poincare[eps.id] * q_entry
+    total = _pair(d, ((eps.id, q_col[eps.id]) for eps in d.basis if eps.id in q_col))
     return ExtSeries(
         tau=tau, gamma=None, series=total, degree_offset=d.param_by_id[tau].dim
     )

@@ -16,7 +16,7 @@ of how a table was made, which also pins the table by uniqueness.
 
 from __future__ import annotations
 
-from .coxeter import CoxElt, CoxeterSystem
+from .coxeter import CoxElt, CoxeterSystem, memoized
 from .errors import DomainError
 from .laurent import ONE, Q, Combination, LaurentPoly, paccum_scaled, pbar, render_poly, vaccum
 
@@ -116,11 +116,9 @@ def mul_T(a: HeckeElt, b: HeckeElt) -> HeckeElt:
     return a * b
 
 
+@memoized
 def _bar_table(sys: CoxeterSystem) -> dict[CoxElt, HeckeElt]:
     """bar(T_w) for every w, built along the length recursion."""
-    cached = getattr(sys, "_hecke_bar_table", None)
-    if cached is not None:
-        return cached
     # bar(T_s) = T_s^-1 = q^-1 T_s + (q^-1 - 1) T_e, from the quadratic relation
     qinv = LaurentPoly.monomial(1, -1)
     table: dict[CoxElt, HeckeElt] = {sys.identity: unit(sys)}
@@ -137,7 +135,6 @@ def _bar_table(sys: CoxeterSystem) -> dict[CoxElt, HeckeElt]:
         word = sys.reduced_word(w)
         prev = table[sys.from_word(word[:-1])]
         table[w] = prev * gen_bar[word[-1]]
-    sys._hecke_bar_table = table
     return table
 
 
@@ -161,6 +158,7 @@ class KLBasis:
         return self.table[w].coefficient(x)
 
 
+@memoized
 def kl_basis(sys: CoxeterSystem) -> KLBasis:
     """Compute every C_w by the Kazhdan-Lusztig recursion on element indices.
 
@@ -178,9 +176,6 @@ def kl_basis(sys: CoxeterSystem) -> KLBasis:
     nonzero mu list for the columns above it; the lists stay on the result
     as KLBasis.mus, where klv.c_expansion reads its W-graph edges.
     """
-    cached = getattr(sys, "_kl_basis_cache", None)
-    if cached is not None:
-        return cached
     els = sys.elements()
     right, lengths = sys.right_mul, sys.lengths
     cols: list[dict[int, dict]] = [{0: {0: 1}}]
@@ -212,9 +207,7 @@ def kl_basis(sys: CoxeterSystem) -> KLBasis:
         w: HeckeElt(sys, {els[x]: LaurentPoly._raw(p) for x, p in col.items()})
         for w, col in zip(els, cols)
     }
-    out = KLBasis(sys, table, mus)
-    sys._kl_basis_cache = out
-    return out
+    return KLBasis(sys, table, mus)
 
 
 def verify_kl_basis(basis: KLBasis) -> list[str]:

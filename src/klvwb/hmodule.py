@@ -15,8 +15,9 @@ where duality is forced.  Parameters that no such chain reaches (cuspidal
 local systems, and both partners of an N-ascent) make the table
 underivable and duality-dependent operations raise MissingCostandard.
 
-ascent_sources indexes those U- and T-ascents by target once per datum;
-the derivation above and the self-dual basis solver both read it.
+ascent_sources indexes those U- and T-ascents by target; the derivation
+above and the self-dual basis solver both read it.  Every table here is
+built once per datum, through coxeter.memoized.
 compatibility_problems tests beta(T_s m) = bar(T_s) beta(m) on every basis
 vector, the law the solver's ascent recursion rests on.
 unitriangular_coords is the one top-down back substitution: klv expands
@@ -27,7 +28,7 @@ in the costandard one.
 from __future__ import annotations
 
 from . import datum as dm
-from .coxeter import CoxElt
+from .coxeter import CoxElt, memoized
 from .errors import DatumError, MissingCostandard, SystemMismatch
 from .hecke import HeckeElt, kl_basis, parse_token
 from .laurent import ONE, Combination, LaurentPoly, pbar, pneg, render_poly, vaccum
@@ -103,12 +104,10 @@ class ActionTable:
         return v
 
 
+@memoized
 def build_action_table(d: dm.OrbitDatum) -> ActionTable:
     """Internal constructor: no validation gate (validation itself needs it)."""
-    table = d._cache.get("action_table")
-    if table is None:
-        table = d._cache["action_table"] = ActionTable(d)
-    return table
+    return ActionTable(d)
 
 
 def ts_matrix(d: dm.OrbitDatum) -> ActionTable:
@@ -122,22 +121,22 @@ def _bar_ts_apply(table: ActionTable, s: int, v: ModuleVector) -> ModuleVector:
     return table.apply(s, v).scale(_QINV) + v.scale(_QINV_MINUS_1)
 
 
+@memoized
 def ascent_sources(d: dm.OrbitDatum) -> dict[str, list[tuple[int, str, tuple[str, ...]]]]:
     """{up: [(s, src, others)]} over every U- or T-ascent row, s-major and
     then in basis order: T_s m_src = m_up + sum of m_other."""
-    sources = d._cache.get("ascent_sources")
-    if sources is None:
-        sources = d._cache["ascent_sources"] = {}
-        for s in range(d.coxeter.rank):
-            for src in d.basis:
-                desc = d.descriptor(s, src.id)
-                for up in desc.targets():
-                    others = desc.dual_others(up)
-                    if others is not None:
-                        sources.setdefault(up, []).append((s, src.id, others))
+    sources: dict[str, list] = {}
+    for s in range(d.coxeter.rank):
+        for src in d.basis:
+            desc = d.descriptor(s, src.id)
+            for up in desc.targets():
+                others = desc.dual_others(up)
+                if others is not None:
+                    sources.setdefault(up, []).append((s, src.id, others))
     return sources
 
 
+@memoized
 def costandard_table(d: dm.OrbitDatum):
     """(table, origin): column gamma holds the m-expansion of n_gamma.
 
@@ -145,13 +144,8 @@ def costandard_table(d: dm.OrbitDatum):
     was reconstructed by ascent propagation.  Raises MissingCostandard when
     neither is possible, DatumError if propagation is inconsistent.
     """
-    cached = d._cache.get("costandard")
-    if cached is not None:
-        return cached
     if d.costandard is not None:
-        out = ({col: dict(rows) for col, rows in d.costandard.items()}, "given")
-        d._cache["costandard"] = out
-        return out
+        return {col: dict(rows) for col, rows in d.costandard.items()}, "given"
 
     table = build_action_table(d)
     sources = ascent_sources(d)
@@ -191,22 +185,18 @@ def costandard_table(d: dm.OrbitDatum):
     for p in d.basis:
         col = beta_cols[p.id].scale(LaurentPoly.monomial(1, p.dim))
         derived[p.id] = dict(col.coords)
-    out = (derived, "derived")
-    d._cache["costandard"] = out
-    return out
+    return derived, "derived"
 
 
+@memoized
 def _beta_columns(d: dm.OrbitDatum) -> dict[str, ModuleVector]:
     """beta(m_gamma) = q^-dim(gamma) n_gamma, as vectors."""
-    cols = d._cache.get("beta_cols")
-    if cols is None:
-        table, _ = costandard_table(d)
-        cols = {}
-        for p in d.params:
-            cols[p.id] = ModuleVector(
-                d, {row: c.shift(-p.dim) for row, c in table[p.id].items()}
-            )
-        d._cache["beta_cols"] = cols
+    table, _ = costandard_table(d)
+    cols = {}
+    for p in d.params:
+        cols[p.id] = ModuleVector(
+            d, {row: c.shift(-p.dim) for row, c in table[p.id].items()}
+        )
     return cols
 
 
@@ -219,6 +209,7 @@ def beta(x: ModuleVector, d: dm.OrbitDatum) -> ModuleVector:
     return ModuleVector._raw(d, out)
 
 
+@memoized
 def compatibility_problems(d: dm.OrbitDatum) -> dict[str, list[str]]:
     """Per parameter p, where beta(T_s m[p]) != bar(T_s) beta(m[p]).
 
@@ -226,19 +217,16 @@ def compatibility_problems(d: dm.OrbitDatum) -> dict[str, list[str]]:
     (T_s + 1) maps a vector fixed by beta up to q^-k to one fixed up to
     q^-(k+1).  validate_datum does not test this law.
     """
-    problems = d._cache.get("compatibility")
-    if problems is None:
-        table = build_action_table(d)
-        problems = {}
-        for p in d.params:
-            v = basis_vector(d, p.id)
-            bv = beta(v, d)
-            problems[p.id] = [
-                f"beta(T{s + 1} m[{p.id}]) != bar(T{s + 1}) beta(m[{p.id}])"
-                for s in range(d.coxeter.rank)
-                if beta(table.apply(s, v), d) != _bar_ts_apply(table, s, bv)
-            ]
-        d._cache["compatibility"] = problems
+    table = build_action_table(d)
+    problems = {}
+    for p in d.params:
+        v = basis_vector(d, p.id)
+        bv = beta(v, d)
+        problems[p.id] = [
+            f"beta(T{s + 1} m[{p.id}]) != bar(T{s + 1}) beta(m[{p.id}])"
+            for s in range(d.coxeter.rank)
+            if beta(table.apply(s, v), d) != _bar_ts_apply(table, s, bv)
+        ]
     return problems
 
 
@@ -263,47 +251,37 @@ def act(h, x: ModuleVector, d: dm.OrbitDatum) -> ModuleVector:
     raise DatumError(f"cannot act by {h!r}")
 
 
+@memoized
 def t_matrix_columns(d: dm.OrbitDatum, w: CoxElt) -> dict[str, ModuleVector]:
     """Columns of the T_w action, memoized along the word recursion."""
-    mats = d._cache.setdefault("t_mats", {})
-    col = mats.get(w)
-    if col is not None:
-        return col
     table = build_action_table(d)
     sys = d.coxeter
     if w.length == 0:
-        col = {p.id: basis_vector(d, p.id) for p in d.params}
-    else:
-        word = sys.reduced_word(w)
-        prefix = t_matrix_columns(d, sys.from_word(word[:-1]))
-        s = word[-1]
-        # T_w = T_{w'} T_s, so the w-column is M_{w'} applied to T_s m_gamma
-        col = {}
-        for p in d.params:
-            v = table.apply(s, basis_vector(d, p.id))
-            col[p.id] = matrix_apply(prefix, v)
-    mats[w] = col
+        return {p.id: basis_vector(d, p.id) for p in d.params}
+    word = sys.reduced_word(w)
+    prefix = t_matrix_columns(d, sys.from_word(word[:-1]))
+    s = word[-1]
+    # T_w = T_{w'} T_s, so the w-column is M_{w'} applied to T_s m_gamma
+    col = {}
+    for p in d.params:
+        v = table.apply(s, basis_vector(d, p.id))
+        col[p.id] = matrix_apply(prefix, v)
     return col
 
 
+@memoized
 def c_matrix_columns(d: dm.OrbitDatum, w: CoxElt) -> dict[str, ModuleVector]:
     """Columns of the C_w action: sum of P_{x,w} T_x columns.
 
     klv.c_expansion reads these for the identity and the generators only;
     longer elements follow from them by the W-graph recursion."""
-    mats = d._cache.setdefault("c_mats", {})
-    col = mats.get(w)
-    if col is not None:
-        return col
     cw = kl_basis(d.coxeter).c(w)
     sums: dict[str, dict[str, dict]] = {p.id: {} for p in d.params}
     for x, poly in cw.terms.items():
         tx = t_matrix_columns(d, x)
         for pid, out in sums.items():
             vaccum(out, poly._c, tx[pid].terms.items())
-    col = {pid: ModuleVector._raw(d, out) for pid, out in sums.items()}
-    mats[w] = col
-    return col
+    return {pid: ModuleVector._raw(d, out) for pid, out in sums.items()}
 
 
 def matrix_apply(columns: dict[str, ModuleVector], v: ModuleVector) -> ModuleVector:

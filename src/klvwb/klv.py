@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from . import datum as dm
 from . import hmodule as hm
-from .coxeter import CoxElt
+from .coxeter import CoxElt, memoized
 from .errors import DatumError, NonGeometricDatum
 from .hecke import kl_basis
 from .laurent import ONE, LaurentPoly, render_poly, vaccum
@@ -68,6 +68,7 @@ class KLVTable:
                     yield (gamma.id, delta.id, c)
 
 
+@memoized
 def klv_table(d: dm.OrbitDatum) -> KLVTable:
     """Solve for the self-dual basis, processing parameters by (dim, id).
 
@@ -89,9 +90,6 @@ def klv_table(d: dm.OrbitDatum) -> KLVTable:
     law, and a seed whose top entry is not 1 . m_delta take _beta_column.
     """
     dm.ensure_valid(d)
-    cached = d._cache.get("klv_table")
-    if cached is not None:
-        return cached
     compatible = not any(hm.compatibility_problems(d).values())
     sources = hm.ascent_sources(d) if compatible else {}
     action = hm.build_action_table(d)
@@ -104,9 +102,7 @@ def klv_table(d: dm.OrbitDatum) -> KLVTable:
             seed = columns[src]
             col = _selfdual_column(d, columns, delta, action.apply(s, seed) + seed)
         columns[delta.id] = col if col is not None else _beta_column(d, columns, delta)
-    table = KLVTable(d, columns)
-    d._cache["klv_table"] = table
-    return table
+    return KLVTable(d, columns)
 
 
 def _selfdual_column(d: dm.OrbitDatum, columns, delta, v: hm.ModuleVector):
@@ -220,26 +216,18 @@ def c_expansion(d: dm.OrbitDatum, w, tau: str) -> dict[str, LaurentPoly]:
     descending basis order, zero coefficients dropped.
 
     Generators and the identity are expanded densely; every longer w
-    follows from them by the W-graph recursion of _expand.  Each (w, tau)
-    is expanded once per datum and memoized; callers get a copy, so
-    mutating the result cannot corrupt the memo.
+    follows from them by the W-graph recursion of _expand.  _expand is
+    coxeter.memoized, so each (w, tau) is expanded once per datum; callers
+    get a copy, so mutating the result cannot corrupt the memo.
     """
     table = klv_table(d)
     w = _as_element(d, w)
     if tau not in d.param_by_id:
         raise DatumError(f"unknown parameter {tau!r}")
-    return dict(_expansion(d, table, w, tau))
+    return dict(_expand(d, table, w, tau))
 
 
-def _expansion(d: dm.OrbitDatum, table: KLVTable, w: CoxElt, tau: str):
-    """The memoized expansion itself; read it, never mutate it."""
-    memo = d._cache.setdefault("c_expansion", {})
-    out = memo.get((w, tau))
-    if out is None:
-        out = memo[(w, tau)] = _expand(d, table, w, tau)
-    return out
-
-
+@memoized
 def _expand(d: dm.OrbitDatum, table: KLVTable, w: CoxElt, tau: str):
     """C_w . L_tau in the self-dual basis.
 
@@ -257,17 +245,17 @@ def _expand(d: dm.OrbitDatum, table: KLVTable, w: CoxElt, tau: str):
         C_w = C_s C_w' - sum_{z < w', sz < z} mu(z, w') q^{(l(w)-l(z))/2} C_z,
 
     so E[w][tau] = sum_gamma E[w'][tau]_gamma E[s][gamma] minus the mu
-    terms E[z][tau], with every shorter expansion read from the memo.
+    terms E[z][tau], every shorter expansion memoized.
     """
     if w.length <= 1:
         return _dense_expand(d, table, w, tau)
     s, prev, edges = _wgraph_step(d, w)
     gen = d.coxeter.generator(s)
     acc: dict[str, dict] = {}
-    for gamma, c in _expansion(d, table, prev, tau).items():
-        vaccum(acc, c._c, _expansion(d, table, gen, gamma).items())
+    for gamma, c in _expand(d, table, prev, tau).items():
+        vaccum(acc, c._c, _expand(d, table, gen, gamma).items())
     for z, mu, shift in edges:
-        vaccum(acc, {shift: -mu}, _expansion(d, table, z, tau).items())
+        vaccum(acc, {shift: -mu}, _expand(d, table, z, tau).items())
     index = d.basis_index
     return {
         row: LaurentPoly._raw(acc[row])
@@ -275,22 +263,19 @@ def _expand(d: dm.OrbitDatum, table: KLVTable, w: CoxElt, tau: str):
     }
 
 
+@memoized
 def _wgraph_step(d: dm.OrbitDatum, w: CoxElt):
     """(s, s w, [(z, mu(z, s w), (l(w) - l(z))/2)] over the z with sz < z),
-    for the first left descent s of w; memoized per datum."""
-    steps = d._cache.setdefault("wgraph_steps", {})
-    step = steps.get(w)
-    if step is None:
-        sys = d.coxeter
-        s = next(t for t in range(sys.rank) if w.has_left_descent(t))
-        prev = sys.generator(s) * w
-        els = sys.elements()
-        edges = []
-        for z, mu in kl_basis(sys).mus[sys.index(prev)]:
-            if els[z].has_left_descent(s):
-                edges.append((els[z], mu, (w.length - els[z].length) // 2))
-        step = steps[w] = (s, prev, edges)
-    return step
+    for the first left descent s of w."""
+    sys = d.coxeter
+    s = next(t for t in range(sys.rank) if w.has_left_descent(t))
+    prev = sys.generator(s) * w
+    els = sys.elements()
+    edges = []
+    for z, mu in kl_basis(sys).mus[sys.index(prev)]:
+        if els[z].has_left_descent(s):
+            edges.append((els[z], mu, (w.length - els[z].length) // 2))
+    return s, prev, edges
 
 
 def _dense_expand(d: dm.OrbitDatum, table: KLVTable, w: CoxElt, tau: str):
@@ -347,13 +332,7 @@ def parity_check(d: dm.OrbitDatum, window: int = 10) -> dm.ValidationReport:
                         f"c[{d.coxeter.element_token(w)},{p.id},{gamma_id}] "
                         "has non-integer powers"
                     )
-    checks.append(
-        dm.CheckResult(
-            "integer-powers",
-            not problems,
-            "; ".join(problems) if problems else f"{count} polynomials",
-        )
-    )
+    checks.append(dm.CheckResult.of("integer-powers", problems, f"{count} polynomials"))
 
     problems = []
     count = 0
@@ -368,11 +347,7 @@ def parity_check(d: dm.OrbitDatum, window: int = 10) -> dm.ValidationReport:
         if not extseries.single_parity(ic, window):
             problems.append(f"IC({tau.id}) mixes parities")
     checks.append(
-        dm.CheckResult(
-            "series-parity",
-            not problems,
-            "; ".join(problems) if problems else f"{count} series, window q^0..q^{window}",
-        )
+        dm.CheckResult.of("series-parity", problems, f"{count} series, window q^0..q^{window}")
     )
     return dm.ValidationReport(checks)
 

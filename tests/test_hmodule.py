@@ -185,6 +185,9 @@ def test_costandard_underivable_without_table():
         assert report.ok
         note = next(c for c in report.checks if c.name == "costandard-involution")
         assert "not derivable" in note.detail
+        # the failure was not memoized: the call raises again
+        with pytest.raises(MissingCostandard):
+            hm.costandard_table(stripped)
 
 
 def test_vector_rendering():

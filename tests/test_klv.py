@@ -268,6 +268,16 @@ def test_wgraph_expansion_matches_dense_product_on_a_d4_sample(d4):
     )
 
 
+def test_tables_are_memoized_per_owner():
+    d = dm.builtin_datum("hecke-regular:A2")
+    assert klv.klv_table(d) is klv.klv_table(d)
+    assert hecke.kl_basis(d.coxeter) is hecke.kl_basis(d.coxeter)
+    other = dm.builtin_datum("hecke-regular:A2")
+    assert other.coxeter is not d.coxeter
+    assert klv.klv_table(other) is not klv.klv_table(d)
+    assert hecke.kl_basis(other.coxeter) is not hecke.kl_basis(d.coxeter)
+
+
 def test_c_expansion_result_does_not_alias_the_memo():
     d = dm.builtin_datum("sl2-T")
     s = d.coxeter.generator(0)
@@ -324,7 +334,7 @@ def test_parity_check_over_builtins():
         assert report.ok, (name, report.failed_names())
 
 
-def test_non_geometric_datum_detected():
+def test_non_geometric_datum_detected(monkeypatch):
     base = dm.builtin_datum("sl2-T")
     costd = {k: dict(v) for k, v in base.costandard.items()}
     costd["ws"] = {"ws": ONE, "p0": ONE}  # breaks the involution
@@ -340,7 +350,7 @@ def test_non_geometric_datum_detected():
     )
     assert not dm.validate_datum(bad).ok
     # force the gate open to exercise the solver's own failure detection
-    bad._cache["validation"] = dm.ValidationReport([])
+    monkeypatch.setattr(dm, "ensure_valid", lambda d: None)
     with pytest.raises(NonGeometricDatum):
         klv.klv_table(bad)
 
