@@ -14,6 +14,14 @@ series live in a single parity.
 ic_cohomology(tau) pairs the full standard basis against the class of tau:
 sum_eps Q[eps, tau] * pi_eps, read through degree 2m - dim tau.  For a
 clean parameter only the self term survives.
+
+When every denominator in the datum's Poincare table is a power of one
+factor (1 - q^a), the weights that share a series are summed first, and each
+distinct series is multiplied and reduced once.  Reduction then cancels
+(1 - q^a) as often as it divides, which leaves the unique lowest-terms form,
+so the result does not depend on how the sum was built.  Mixed factors make
+the greedy reduction order-dependent, and there the sum stays a
+term-by-term fold in basis order.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ from . import hmodule as hm
 from . import klv as klvmod
 from .coxeter import memoized
 from .errors import DatumError
-from .laurent import PoincareSeries, render_series
+from .laurent import ONE, LaurentPoly, PoincareSeries, paccum, pbar, pmul, render_series
 
 
 @dataclass(frozen=True)
@@ -63,13 +71,42 @@ def _q_columns(d: dm.OrbitDatum) -> dict[str, dict[str, object]]:
     return out
 
 
-def _pair(d: dm.OrbitDatum, weights) -> PoincareSeries:
-    """sum of weight * poincare[eps] over the (eps, weight) pairs in basis
-    order; zero weights are skipped, and each partial sum is reduced."""
+@memoized
+def _series_groups(d: dm.OrbitDatum) -> dict[str, int] | None:
+    """{pid: index of its distinct Poincare series, first seen in basis
+    order}, or None when the denominators mix more than one factor."""
+    if len({a for s in d.poincare.values() for a in s.den}) > 1:
+        return None
+    first: dict = {}
+    out = {}
+    for p in d.basis:
+        s = d.poincare[p.id]
+        out[p.id] = first.setdefault((s.den, frozenset(s.num._c.items())), len(first))
+    return out
+
+
+def _pair(d: dm.OrbitDatum, terms) -> PoincareSeries:
+    """sum of a * b * poincare[eps] over the (eps, a, b) terms, a and b
+    kernel dicts.  One factor: a * b is summed per distinct series, and each
+    series is multiplied and reduced once.  Mixed factors: a term-by-term
+    fold in basis order, zero weights skipped, each partial sum reduced."""
+    groups = _series_groups(d)
     total = PoincareSeries.zero()
-    for eps, weight in weights:
-        if not weight.is_zero():
-            total = total + d.poincare[eps] * weight
+    if groups is None:
+        for eps, a, b in sorted(terms, key=lambda t: d.basis_index[t[0]]):
+            weight = pmul(a, b)
+            if weight:
+                total = total + d.poincare[eps] * LaurentPoly._raw(weight)
+        return total
+    sums: dict[int, tuple[PoincareSeries, dict]] = {}
+    for eps, a, b in terms:
+        g = groups[eps]
+        if g not in sums:
+            sums[g] = (d.poincare[eps], {})
+        paccum(sums[g][1], a, b)
+    for series, weight in sums.values():
+        if weight:
+            total = total + series * LaurentPoly._raw(weight)
     return total
 
 
@@ -78,15 +115,11 @@ def ext_poincare(d: dm.OrbitDatum, tau: str, gamma: str) -> ExtSeries:
     for pid in (tau, gamma):
         if pid not in d.param_by_id:
             raise DatumError(f"unknown parameter {pid!r}")
-    table = klvmod.klv_table(d)
-    q_cols = _q_columns(d)
-    p_col = table.column(tau).coords
-    q_col = q_cols[gamma]
-    total = _pair(d, (
-        (eps.id, p_col[eps.id].bar() * q_col[eps.id])
-        for eps in d.basis
-        if eps.id in p_col and eps.id in q_col
-    ))
+    p_col = klvmod.klv_table(d).column(tau).coords
+    q_col = _q_columns(d)[gamma]
+    total = _pair(d, [
+        (eps, pbar(p._c), q_col[eps]._c) for eps, p in p_col.items() if eps in q_col
+    ])
     offset = d.param_by_id[gamma].dim - d.param_by_id[tau].dim
     return ExtSeries(tau=tau, gamma=gamma, series=total, degree_offset=offset)
 
@@ -95,9 +128,8 @@ def ic_cohomology(d: dm.OrbitDatum, tau: str) -> ExtSeries:
     """Weight series pairing every standard class against the class of tau."""
     if tau not in d.param_by_id:
         raise DatumError(f"unknown parameter {tau!r}")
-    klvmod.klv_table(d)
     q_col = _q_columns(d)[tau]
-    total = _pair(d, ((eps.id, q_col[eps.id]) for eps in d.basis if eps.id in q_col))
+    total = _pair(d, [(eps, ONE._c, q._c) for eps, q in q_col.items()])
     return ExtSeries(
         tau=tau, gamma=None, series=total, degree_offset=d.param_by_id[tau].dim
     )

@@ -390,6 +390,12 @@ class PoincareSeries:
     therefore render differently: (1+q)/(1-q^2) keeps its factor although
     it equals 1/(1-q).  Equality is decided by cross-multiplication, never
     by truncation or by the rendered form.
+
+    Reduction is idempotent: a factor that does not divide a numerator
+    divides none of its quotients, so rebuilding a series from its num and
+    den changes nothing, and adding zero may return the other operand.
+    When every factor has one exponent a, the form is canonical: (1 - q^a)
+    is cancelled as often as it divides, leaving the lowest terms.
     """
 
     __slots__ = ("num", "den")
@@ -420,6 +426,10 @@ class PoincareSeries:
     def __add__(self, other: "PoincareSeries") -> "PoincareSeries":
         if not isinstance(other, PoincareSeries):
             return NotImplemented
+        if other.is_zero():
+            return self
+        if self.is_zero():
+            return other
         if self.den == other.den:
             return PoincareSeries(self.num + other.num, self.den)
         den = _multiset_max(self.den, other.den)

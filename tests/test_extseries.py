@@ -1,9 +1,14 @@
+import functools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from klvwb import datum as dm
 from klvwb import extseries as ext
+from klvwb import klv
 from klvwb.errors import DatumError
-from klvwb.laurent import PoincareSeries, parse_poly
+from klvwb.laurent import ONE, LaurentPoly, PoincareSeries, parse_poly, render_series
 
 
 def series(num, den):
@@ -108,3 +113,129 @@ def test_unknown_parameter_rejected():
         ext.ext_poincare(d, "p0", "nope")
     with pytest.raises(DatumError):
         ext.ic_cohomology(d, "nope")
+
+
+# --- grouped sum against the term-by-term fold -----------------------------
+
+
+def _fold(d, weights):
+    """Oracle: sum of weight * poincare[eps] in basis order, zero weights
+    skipped, each partial sum reduced."""
+    total = PoincareSeries.zero()
+    for eps, weight in weights:
+        if not weight.is_zero():
+            total = total + d.poincare[eps] * weight
+    return total
+
+
+def _fold_ext(d, tau, gamma):
+    p_col = klv.klv_table(d).column(tau).coords
+    q_col = ext._q_columns(d)[gamma]
+    return _fold(d, (
+        (eps.id, p_col[eps.id].bar() * q_col[eps.id])
+        for eps in d.basis
+        if eps.id in p_col and eps.id in q_col
+    ))
+
+
+def _fold_ic(d, tau):
+    q_col = ext._q_columns(d)[tau]
+    return _fold(d, ((eps.id, q_col[eps.id]) for eps in d.basis if eps.id in q_col))
+
+
+@functools.cache
+def _dump(name):
+    return dm.builtin_datum(name).to_jsonable()
+
+
+_numerators = st.dictionaries(st.integers(1, 6), st.integers(-3, 3), max_size=3).map(
+    lambda terms: LaurentPoly({0: 1, **terms})
+)
+
+
+@st.composite
+def _poincare_tables(draw):
+    """(builtin name, {pid: series}, mixed): a pool of one to three series
+    shared out over the parameters, over one factor (1-q^a) to powers 0..3,
+    or over a factor set that the first series mixes."""
+    name = draw(st.sampled_from(
+        ["sl2-T", "sl2-N", "hecke-regular:A1", "hecke-regular:A2", "hecke-regular:B2"]
+    ))
+    pids = sorted(_dump(name)["poincare"])
+    mixed = draw(st.booleans())
+    if mixed:
+        factors = draw(st.sampled_from([[1, 2], [2, 3], [1, 3, 4]]))
+        dens = st.lists(st.sampled_from(factors), min_size=1, max_size=4)
+    else:
+        a = draw(st.integers(1, 4))
+        dens = st.integers(0, 3).map(lambda k: [a] * k)
+    pool = [[draw(_numerators), draw(dens)] for _ in range(draw(st.integers(1, 3)))]
+    if mixed:
+        pool[0][1] += factors
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=len(pids), max_size=len(pids)))
+    table = {pid: PoincareSeries(*pool[i]) for pid, i in zip(pids, picks)}
+    table[pids[0]] = PoincareSeries(*pool[0])
+    return name, table, mixed
+
+
+@settings(deadline=None, max_examples=60)
+@given(drawn=_poincare_tables())
+def test_grouped_sum_renders_as_the_fold(drawn):
+    name, table, mixed = drawn
+    obj = dict(_dump(name))
+    obj["poincare"] = {
+        pid: {"num": str(s.num), "den": list(s.den)} for pid, s in table.items()
+    }
+    d = dm.load_datum(obj)
+    assert (ext._series_groups(d) is None) == mixed
+    for tau in d.basis:
+        for gamma in d.basis:
+            got = ext.ext_poincare(d, tau.id, gamma.id).series
+            assert render_series(got) == render_series(_fold_ext(d, tau.id, gamma.id))
+        got = ext.ic_cohomology(d, tau.id).series
+        assert render_series(got) == render_series(_fold_ic(d, tau.id))
+
+
+def test_mixed_factor_datum_keeps_the_fold():
+    # summing per series here (in the series' first-seen order) would give
+    # (1+2q+3q^2-7q^4-5q^5+3q^6+6q^7+2q^8-3q^9+q^11)/(1-q^2)^3(1-q^3)
+    # for Ext(1.2.1, 1.2.1); the gate keeps the fold
+    obj = dict(_dump("hecke-regular:B2"))
+    one = {"num": "1", "den": []}
+    mixed = {"num": "1-3q^3", "den": [2, 2, 3]}
+    fourth = {"num": "1", "den": [2, 2, 2, 2]}
+    obj["poincare"] = {
+        "e": mixed, "1": one, "2": mixed, "1.2": mixed, "2.1": fourth,
+        "1.2.1": fourth, "2.1.2": one, "1.2.1.2": one,
+    }
+    d = dm.load_datum(obj)
+    assert ext._series_groups(d) is None
+    got = ext.ext_poincare(d, "1.2.1", "1.2.1").series
+    assert str(got) == "(1+2q+2q^2-q^3-8q^4-3q^5+9q^6+3q^7-4q^8+q^10)/(1-q^2)^4"
+    assert str(got) == str(_fold_ext(d, "1.2.1", "1.2.1"))
+
+
+def test_grouping_changes_the_form_under_mixed_factors():
+    s = PoincareSeries(ONE, [2, 3, 4])
+    w1 = parse_poly("2q-2q^2-2q^4+2q^5")
+    w2 = parse_poly("-2q+2q^4-2q^5+2q^8")
+    folded = s * w1 + s * w2
+    grouped = s * (w1 + w2)
+    assert folded == grouped
+    assert str(folded) == "(-2q^2-2q^5)/(1-q^2)(1-q^4)"
+    assert str(grouped) == "(-2q^2-2q^4-2q^6)/(1-q^3)(1-q^4)"
+
+
+def test_series_groups_gate():
+    for name in dm.BUILTIN_NAMES:
+        d = dm.builtin_datum(name)
+        groups = ext._series_groups(d)
+        assert set(groups) == set(d.param_by_id), name
+        assert ext._series_groups(d) is groups
+    assert set(ext._series_groups(dm.builtin_datum("sl2-T")).values()) == {0, 1}
+    obj = _dump("sl2-N")
+    obj = {**obj, "poincare": {**obj["poincare"], "u": {"num": "1", "den": [1]},
+                               "wp": {"num": "1", "den": [2]}}}
+    mixed = dm.load_datum(obj)
+    assert ext._series_groups(mixed) is None
+    assert mixed._cache[(ext._series_groups.__wrapped__,)] is None

@@ -274,6 +274,33 @@ def test_series_reduction_matches_multiply_back_oracle(num, den, cancel, other, 
         assert (got.num, got.den) == _multiply_back_reduce(total, common)
 
 
+@settings(deadline=None)
+@given(
+    num=sparse_polys,
+    den=st.lists(factors, max_size=4),
+    cancel=st.lists(factors, max_size=3),
+)
+def test_series_reduction_is_idempotent(num, den, cancel):
+    s = PoincareSeries(num * _den_poly(cancel), den + cancel)
+    again = PoincareSeries(s.num, s.den)
+    assert (again.num, again.den) == (s.num, s.den)
+    assert render_series(again) == render_series(s)
+
+
+@settings(deadline=None)
+@given(
+    num=sparse_polys,
+    den=st.lists(factors, max_size=4),
+    zero_den=st.lists(factors, max_size=3),
+)
+def test_adding_zero_renders_as_the_other_operand(num, den, zero_den):
+    s = PoincareSeries(num, den)
+    for zero in (PoincareSeries.zero(), PoincareSeries(LaurentPoly.zero(), zero_den)):
+        assert zero.den == ()
+        assert render_series(zero + s) == render_series(s)
+        assert render_series(s + zero) == render_series(s)
+
+
 def _nested_walk_expand(series, lo, hi):
     """Reference expansion: every term walks its chain up to hi, once per
     denominator factor, into a fresh dict."""
