@@ -24,13 +24,20 @@ CARTAN_BY_TYPE = {
     "A1": [[2]],
     "A2": [[2, -1], [-1, 2]],
     "A3": [[2, -1, 0], [-1, 2, -1], [0, -1, 2]],
+    "A4": [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2]],
     "B2": [[2, -2], [-1, 2]],
+    "B4": [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -2], [0, 0, -1, 2]],
     "C3": [[2, -1, 0], [-1, 2, -1], [0, -2, 2]],
+    "C4": [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -2, 2]],
     "D4": [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]],
+    "F4": [[2, -1, 0, 0], [-1, 2, -2, 0], [0, -1, 2, -1], [0, 0, -1, 2]],
     "G2": [[2, -1], [-3, 2]],
 }
 
-WEYL_ORDER = {"A1": 2, "A2": 6, "A3": 24, "B2": 8, "C3": 48, "D4": 192, "G2": 12}
+WEYL_ORDER = {
+    "A1": 2, "A2": 6, "A3": 24, "A4": 120, "B2": 8, "B4": 384,
+    "C3": 48, "C4": 384, "D4": 192, "F4": 1152, "G2": 12,
+}
 
 _MAX_RANK = 4
 _MAX_ROOTS = 60  # F4 has 48 roots; anything past this is not a rank<=4 Weyl group

@@ -13,8 +13,11 @@ T-ascent (s, delta') leads to delta, (T_s + 1) L_delta' is already fixed
 by beta up to q^-dim(delta); subtracting symmetric multiples of the lower
 L_gamma, top down, leaves L_delta.  Columns with no such ascent (closed
 orbits, cuspidals, N-ascent targets) are corrected with the dense beta.
-verify_klv_table re-checks every defining property with the dense beta,
-independently of the solver, so the algorithm itself is replaceable.
+verify_klv_table re-checks every defining property independently of the
+solver, so the algorithm itself is replaceable.  It picks its own ascent
+for each column and certifies self-duality from (T_s + 1) L_delta' and the
+columns below, under the same compatibility law; the dense beta checks
+the columns no ascent certifies.
 
 On top of the table: mu extracts extreme-degree coefficients, c_expansion
 expresses C_w . L_tau in the self-dual basis, and is_clean / is_cuspidal /
@@ -42,6 +45,8 @@ from .laurent import ONE, LaurentPoly, render_poly, vaccum
 # bounds the dense correction steps of a _beta_column, the columns the
 # ascent recursion does not seed
 ITERATION_FACTOR = 4
+
+_MINUS_ONE = {0: -1}
 
 
 class KLVTable:
@@ -159,13 +164,34 @@ def _beta_column(d: dm.OrbitDatum, columns, delta) -> hm.ModuleVector:
 
 
 def verify_klv_table(table: KLVTable, d: dm.OrbitDatum) -> list[str]:
-    """Independent re-check of the defining contract; empty list means pass."""
+    """Independent re-check of the defining contract; empty list means pass.
+
+    When hmodule.compatibility_problems is clean, a column reached by a U- or
+    T-ascent from a column already certified is certified by
+    _ascent_certifies, which needs no beta; every other column, and one
+    that check does not certify, is checked with the dense beta.  A
+    certified column that is 1 at delta and lower elsewhere may serve the
+    columns above it.
+    """
+    compatible = not any(hm.compatibility_problems(d).values())
+    sources = hm.ascent_sources(d) if compatible else {}
+    index = d.basis_index
+    certified: dict[str, dict] = {}
     problems = []
     for delta in d.basis:
         col = table.columns[delta.id]
-        twisted = hm.beta(col, d).scale(LaurentPoly.monomial(1, delta.dim))
-        if twisted != col:
-            problems.append(f"L[{delta.id}] is not self-dual")
+        selfdual = _ascent_certifies(d, certified, sources.get(delta.id, ()), delta, col)
+        if not selfdual:
+            twisted = hm.beta(col, d).scale(LaurentPoly.monomial(1, delta.dim))
+            selfdual = twisted == col
+            if not selfdual:
+                problems.append(f"L[{delta.id}] is not self-dual")
+        if (
+            selfdual
+            and col.coefficient(delta.id) == ONE
+            and max(col.coords, key=index.__getitem__) == delta.id
+        ):
+            certified[delta.id] = col.terms
         if col.coefficient(delta.id) != ONE:
             problems.append(f"P[{delta.id},{delta.id}] != 1")
         for gamma_id, poly in col.coords.items():
@@ -190,6 +216,35 @@ def verify_klv_table(table: KLVTable, d: dm.OrbitDatum) -> list[str]:
                     "has negative coefficients"
                 )
     return problems
+
+
+def _ascent_certifies(d: dm.OrbitDatum, certified, sources, delta, col) -> bool:
+    """Whether L_delta = col is self-dual by Vogan's ascent recursion, from
+    the first source (s, delta') in sources whose column is certified.
+
+    With the compatibility law, v = (T_s + 1) L_delta' is fixed by beta up to
+    q^-(dim delta' + 1), which must be q^-dim(delta).  Back substitution
+    writes v - L_delta = sum c_gamma L_gamma over certified columns; if
+    every bar(c_gamma) = q^(dim gamma - dim delta) c_gamma, each
+    c_gamma L_gamma has the twist of delta, and so does L_delta.
+    """
+    s, src = next(((s, src) for s, src, _ in sources if src in certified), (None, None))
+    if src is None or d.param_by_id[src].dim + 1 != delta.dim:
+        return False
+    seed, ts = certified[src], hm.build_action_table(d).columns[s]
+    acc: dict[str, dict] = {}
+    vaccum(acc, ONE._c, seed.items())
+    for row, c in seed.items():
+        vaccum(acc, c._c, ts[row])
+    vaccum(acc, _MINUS_ONE, col.terms.items())
+    try:
+        coords = hm.unitriangular_coords(d, acc, certified.__getitem__)
+    except KeyError:  # a term on a column not certified: no conclusion
+        return False
+    return all(
+        c.bar().shift(delta.dim - d.param_by_id[gamma].dim) == c
+        for gamma, c in coords.items()
+    )
 
 
 def mu(table: KLVTable, gamma: str, delta: str) -> int:

@@ -2,8 +2,11 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from klvwb import datum as dm
+from klvwb import hmodule as hm
 from klvwb.errors import (
     DatumError,
     DatumFormatError,
@@ -310,3 +313,89 @@ def test_hecke_regular_other_types_validate():
         d = dm.builtin_datum(f"hecke-regular:{label}")
         report = dm.validate_datum(d)
         assert report.ok, (label, report.failed_names())
+
+
+# ------------------------------------------------------------------ oracles
+
+
+def _dense_costandard_check(d):
+    """costandard-involution with beta^2 = id tested on every basis vector."""
+    table, origin = hm.costandard_table(d)
+    problems = []
+    for col, rows in table.items():
+        if rows.get(col) != ONE:
+            problems.append(f"n[{col}] diagonal is not 1")
+        for row in rows:
+            if row != col and d.param_by_id[row].dim >= d.param_by_id[col].dim:
+                problems.append(f"n[{col}] has non-lower term at {row}")
+    if not problems:
+        for p in d.params:
+            v = hm.basis_vector(d, p.id)
+            if hm.beta(hm.beta(v, d), d) != v:
+                problems.append(f"beta^2 != id at {p.id}")
+    return dm.CheckResult.of("costandard-involution", problems, f"table {origin}")
+
+
+def _dense_compatibility_problems(d):
+    """The T_s-compatibility gate on ModuleVectors, one beta per side."""
+    table = hm.build_action_table(d)
+    problems = {}
+    for p in d.params:
+        v = hm.basis_vector(d, p.id)
+        bv = hm.beta(v, d)
+        problems[p.id] = [
+            f"beta(T{s + 1} m[{p.id}]) != bar(T{s + 1}) beta(m[{p.id}])"
+            for s in range(d.coxeter.rank)
+            if hm.beta(table.apply(s, v), d) != hm._bar_ts_apply(table, s, bv)
+        ]
+    return problems
+
+
+@st.composite
+def _costandard_perturbations(draw):
+    """A builtin's dump with one costandard entry set to a small polynomial
+    (zero deletes it)."""
+    name = draw(st.sampled_from(
+        ["sl2-T", "sl2-N", "hecke-regular:A1", "hecke-regular:A2", "hecke-regular:B2"]
+    ))
+    obj = dm.builtin_datum(name).to_jsonable()
+    pids = sorted(obj["costandard"])
+    col, row = draw(st.sampled_from(pids)), draw(st.sampled_from(pids))
+    obj["costandard"][col][row] = draw(st.sampled_from(
+        ["0", "1", "-1", "2", "q", "1-q", "-1+q", "q^-1", "1-q^2", "q-q^2", "1-2q+q^2"]
+    ))
+    return obj
+
+
+@settings(deadline=None, max_examples=120)
+@given(obj=_costandard_perturbations())
+def test_costandard_check_and_gate_agree_with_the_dense_ones(obj):
+    d = dm.load_datum(obj)
+    assert hm.compatibility_problems(d) == _dense_compatibility_problems(d)
+    # a fresh datum, so the gate is not already memoized
+    d = dm.load_datum(obj)
+    assert dm._check_costandard(d) == _dense_costandard_check(d)
+
+
+def test_planted_non_target_costandard_entry_fails():
+    # ws is no ascent target.  n[ws] = m_ws + c (m_p0 - m_pInf) keeps beta
+    # compatible with T_1 for every c, and beta^2 = id at ws iff c = -q bar(c)
+    obj = dm.builtin_datum("sl2-T").to_jsonable()
+    for c, c_neg, ok in (("1", "-1", False), ("1-q", "-1+q", True)):
+        obj["costandard"]["ws"] = {"ws": "1", "p0": c, "pInf": c_neg}
+        d = dm.load_datum(obj)
+        assert not any(hm.compatibility_problems(d).values())
+        check = dm._check_costandard(d)
+        assert check == _dense_costandard_check(d)
+        assert check.passed is ok
+        assert check.detail == ("table given" if ok else "beta^2 != id at ws")
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "B2", "G2", "A3", "C3"])
+def test_costandard_is_certified_from_the_identity_alone(label, monkeypatch):
+    d = dm.builtin_datum(f"hecke-regular:{label}")
+    seen = []
+    beta = hm.beta
+    monkeypatch.setattr(hm, "beta", lambda x, d: seen.append(set(x.terms)) or beta(x, d))
+    assert dm._check_costandard(d) == dm.CheckResult("costandard-involution", True, "table given")
+    assert seen[0] == {"e"} and len(seen) == 2

@@ -172,6 +172,8 @@ def _poincare_tables(draw):
     pool = [[draw(_numerators), draw(dens)] for _ in range(draw(st.integers(1, 3)))]
     if mixed:
         pool[0][1] += factors
+        if len(set(PoincareSeries(*pool[0]).den)) < 2:
+            pool[0][0] = ONE  # its numerator cancelled a factor and unmixed it
     picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=len(pids), max_size=len(pids)))
     table = {pid: PoincareSeries(*pool[i]) for pid, i in zip(pids, picks)}
     table[pids[0]] = PoincareSeries(*pool[0])

@@ -1,8 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from klvwb.coxeter import CARTAN_BY_TYPE, build_system
+from klvwb import hecke
+from klvwb.coxeter import build_system
 from klvwb.errors import SystemMismatch
 from klvwb.hecke import (
     HeckeElt,
@@ -15,7 +18,7 @@ from klvwb.hecke import (
     unit,
     verify_kl_basis,
 )
-from klvwb.laurent import ONE, Q, LaurentPoly, parse_poly
+from klvwb.laurent import ONE, Q, LaurentPoly, parse_poly, render_poly
 
 
 def rand_elt(sys, rng, nterms=3):
@@ -190,7 +193,8 @@ def _bar_correction_table(sys):
     return table
 
 
-@pytest.mark.parametrize("label", sorted(set(CARTAN_BY_TYPE) - {"D4"}))
+# the dense reference is too slow for rank 4, so the list stays at the small types
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "B2", "C3", "G2"])
 def test_kl_recursion_matches_bar_correction(label):
     sys = build_system(label)
     basis = kl_basis(sys)
@@ -269,3 +273,132 @@ def test_system_mismatch():
     a, b = build_system("A1"), build_system("A1")
     with pytest.raises(SystemMismatch):
         mul_T(T(a, [0]), T(b, [0]))
+
+
+# ------------------------------------------------------------------ oracles
+
+
+def _product_bar(sys, w):
+    """bar(T_w) as the product of bar(T_s) = q^-1 T_s + (q^-1 - 1) T_e along
+    the reduced word of w."""
+    qinv = LaurentPoly.monomial(1, -1)
+    out = unit(sys)
+    for s in sys.reduced_word(w):
+        out = out * HeckeElt(sys, {sys.generator(s): qinv, sys.identity: qinv - ONE})
+    return out
+
+
+def _dense_verify_kl_basis(basis):
+    """The verifier with self-duality tested by bar() on every column."""
+    sys = basis.system
+    problems = []
+    for w, c in basis.table.items():
+        if c.bar().scale(LaurentPoly.monomial(1, w.length)) != c:
+            problems.append(f"{render_token(sys, w, 'C')}: not bar self-dual")
+        if c.coefficient(w) != ONE:
+            problems.append(f"{render_token(sys, w, 'C')}: diagonal is not 1")
+        for x, p in c.terms.items():
+            where = f"P[{render_token(sys, x)},{render_token(sys, w)}]"
+            if x != w and not sys.leq_bruhat(x, w):
+                problems.append(f"{where}: support outside the Bruhat interval")
+            if not p.is_nonnegative():
+                problems.append(f"{where}: negative coefficient in {render_poly(p)}")
+            lo, hi = p.degree_window()
+            if lo < 0:
+                problems.append(f"{where}: negative exponent")
+            if x != w and hi > (w.length - x.length - 1) // 2:
+                problems.append(f"{where}: degree bound exceeded")
+    return problems
+
+
+def _r_table_column(sys, w):
+    els = sys.elements()
+    col = hecke._bar_table(sys)[sys.index(w)]
+    return {els[x]: LaurentPoly._raw(p) for x, p in col.items()}
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "B2", "C3", "G2"])
+def test_r_table_equals_the_product_table(label):
+    sys = build_system(label)
+    for w in sys.elements():
+        expected = _product_bar(sys, w).scale(LaurentPoly.monomial(1, w.length))
+        assert _r_table_column(sys, w) == expected.terms, sys.element_token(w)
+        assert T(sys, w).bar() == _product_bar(sys, w)
+
+
+def test_r_table_equals_the_product_table_on_a_d4_sample():
+    sys = build_system("D4")
+    els = sys.elements()
+    for w in els[::16] + [els[-1]]:
+        expected = _product_bar(sys, w).scale(LaurentPoly.monomial(1, w.length))
+        assert _r_table_column(sys, w) == expected.terms, sys.element_token(w)
+
+
+@st.composite
+def _kl_perturbations(draw):
+    """(label, table, mus): one KL table entry or one mu moved by a small
+    Laurent polynomial, possibly to zero or off the Bruhat interval."""
+    label = draw(st.sampled_from(["A2", "A3", "B2"]))
+    sys = build_system(label)
+    basis = kl_basis(sys)
+    els = sys.elements()
+    table, mus = dict(basis.table), list(basis.mus)
+    w = draw(st.sampled_from(els))
+    if draw(st.booleans()) or not mus[sys.index(w)]:
+        x = draw(st.sampled_from(els))
+        old = table[w].coefficient(x)
+        new = draw(st.sampled_from([
+            old + ONE, old - ONE, old + Q, old.shift(1), LaurentPoly.monomial(1, -1),
+            LaurentPoly.zero(), old + parse_poly("q^2"), old * (ONE + ONE),
+        ]))
+        table[w] = table[w] + HeckeElt(sys, {x: new - old})
+    else:
+        i = sys.index(w)
+        k = draw(st.integers(0, len(mus[i]) - 1))
+        z, mu = mus[i][k]
+        mus[i] = mus[i][:k] + [(z, mu + draw(st.sampled_from([-2, -1, 1, 2])))] + mus[i][k + 1:]
+    return sys, table, mus
+
+
+@settings(deadline=None, max_examples=80)
+@given(drawn=_kl_perturbations())
+def test_inductive_verifier_agrees_with_the_dense_one(drawn):
+    sys, table, mus = drawn
+    perturbed = KLBasis(sys, table, mus)
+    assert verify_kl_basis(perturbed) == _dense_verify_kl_basis(perturbed)
+
+
+def test_planted_d4_entry_fails_self_duality():
+    sys = build_system("D4")
+    basis = kl_basis(sys)
+    w0 = sys.elements()[-1]
+    table = dict(basis.table)
+    table[w0] = table[w0] + T(sys, sys.identity)  # P[e, w0] = 1 + 1, degree 0 allowed
+    assert verify_kl_basis(KLBasis(sys, table, basis.mus)) == [
+        f"{render_token(sys, w0, 'C')}: not bar self-dual"
+    ]
+
+
+def test_planted_wrong_mu_fails():
+    # raise mu(z, w) in P_{z,w} and in the mu list alike: the table's own mu
+    # is then wrong, and C_w is no longer self-dual
+    sys = build_system("C3")
+    basis = kl_basis(sys)
+    els = sys.elements()
+    i, (z, mu) = next(
+        (i, edge) for i, edges in enumerate(basis.mus) for edge in edges
+        if els[i].length - els[edge[0]].length >= 3
+    )
+    w, gap = els[i], els[i].length - els[z].length
+    table, mus = dict(basis.table), list(basis.mus)
+    table[w] = table[w] + HeckeElt(sys, {els[z]: LaurentPoly.monomial(1, gap // 2)})
+    mus[i] = [(y, m + 1 if y == z else m) for y, m in mus[i]]
+    problems = verify_kl_basis(KLBasis(sys, table, mus))
+    assert problems == [f"{render_token(sys, w, 'C')}: not bar self-dual"]
+
+
+def test_wrong_mu_list_alone_is_cleared_by_the_dense_check():
+    sys = build_system("A3")
+    basis = kl_basis(sys)
+    mus = [[(z, mu + 1) for z, mu in edges] for edges in basis.mus]
+    assert verify_kl_basis(KLBasis(sys, basis.table, mus)) == []

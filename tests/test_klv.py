@@ -3,6 +3,8 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from klvwb import checks
 from klvwb import datum as dm
@@ -354,3 +356,69 @@ def test_non_geometric_datum_detected(monkeypatch):
     with pytest.raises(NonGeometricDatum):
         klv.klv_table(bad)
 
+
+
+def _dense_verify_klv_table(table, d):
+    """The verifier with self-duality tested by the dense beta on every column."""
+    problems = []
+    for delta in d.basis:
+        col = table.columns[delta.id]
+        if hm.beta(col, d).scale(LaurentPoly.monomial(1, delta.dim)) != col:
+            problems.append(f"L[{delta.id}] is not self-dual")
+        if col.coefficient(delta.id) != ONE:
+            problems.append(f"P[{delta.id},{delta.id}] != 1")
+        for gamma_id, poly in col.coords.items():
+            gamma = d.param_by_id[gamma_id]
+            if gamma_id == delta.id:
+                continue
+            if not d.leq_orbits(gamma.orbit, delta.orbit):
+                problems.append(f"P[{gamma_id},{delta.id}] supported outside the closure order")
+            lo, hi = poly.degree_window()
+            if lo < 0:
+                problems.append(f"P[{gamma_id},{delta.id}] has negative exponents")
+            if 2 * hi > delta.dim - gamma.dim - 1:
+                problems.append(
+                    f"P[{gamma_id},{delta.id}] = {render_poly(poly)} exceeds the degree bound"
+                )
+            if not poly.is_nonnegative():
+                problems.append(
+                    f"P[{gamma_id},{delta.id}] = {render_poly(poly)} has negative coefficients"
+                )
+    return problems
+
+
+@pytest.fixture(scope="module")
+def a3():
+    d = dm.builtin_datum("hecke-regular:A3")
+    return d, klv.klv_table(d)
+
+
+_PERTURBATIONS = ["1", "-1", "q", "q^2", "q^-1", "1+q", "-q", "2"]
+
+
+@settings(deadline=None, max_examples=120)
+@given(data=st.data())
+def test_ascent_verifier_agrees_with_the_dense_one_on_a3(a3, data):
+    d, table = a3
+    pids = [p.id for p in d.basis]
+    delta, gamma = data.draw(st.sampled_from(pids)), data.draw(st.sampled_from(pids))
+    bump = parse_poly(data.draw(st.sampled_from(_PERTURBATIONS)))
+    cols = dict(table.columns)
+    cols[delta] = cols[delta] + hm.ModuleVector(d, {gamma: bump})
+    perturbed = klv.KLVTable(d, cols)
+    assert klv.verify_klv_table(perturbed, d) == _dense_verify_klv_table(perturbed, d)
+
+
+def test_planted_ascent_seeded_c3_column_fails():
+    d = dm.builtin_datum("hecke-regular:C3")
+    table = klv.klv_table(d)
+    sources = hm.ascent_sources(d)
+    # the first column at least three dimensions above e, where a constant
+    # bump at e stays inside the degree bound
+    delta = next(p for p in d.basis if p.dim >= 3 and p.id in sources)
+    cols = dict(table.columns)
+    cols[delta.id] = cols[delta.id] + hm.ModuleVector(d, {"e": ONE})
+    perturbed = klv.KLVTable(d, cols)
+    problems = klv.verify_klv_table(perturbed, d)
+    assert problems == [f"L[{delta.id}] is not self-dual"]
+    assert problems == _dense_verify_klv_table(perturbed, d)
