@@ -13,6 +13,7 @@ All orderings are canonical, so identical inputs give identical bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -64,6 +65,7 @@ def _window(text: str) -> int:
     return n
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="klvwb", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -176,21 +178,18 @@ def _emit_report(args, d, report, column, verdicts) -> int:
     return EXIT_OK if report.ok else EXIT_INVALID
 
 
-def _cmd_validate(args) -> int:
-    d = _resolve_datum(args)
+def _cmd_validate(args, d: dm.OrbitDatum) -> int:
     return _emit_report(args, d, dm.validate_datum(d), "check", ("INVALID", "VALID"))
 
 
-def _cmd_klv(args) -> int:
-    d = _resolve_datum(args)
+def _cmd_klv(args, d: dm.OrbitDatum) -> int:
     table = klvmod.klv_table(d)
     rows = [(g, dl, render_poly(p)) for g, dl, p in table.rows()]
     _emit(args, _render_rows(args, ("gamma", "delta", "P"), rows))
     return EXIT_OK
 
 
-def _cmd_act(args) -> int:
-    d = _resolve_datum(args)
+def _cmd_act(args, d: dm.OrbitDatum) -> int:
     word = _parse_word(args.word)
     if args.param not in d.param_by_id:
         raise _UsageError(f"unknown parameter {args.param!r}")
@@ -204,8 +203,7 @@ def _cmd_act(args) -> int:
     return EXIT_OK
 
 
-def _cmd_cexp(args) -> int:
-    d = _resolve_datum(args)
+def _cmd_cexp(args, d: dm.OrbitDatum) -> int:
     word = _parse_word(args.word)
     w = d.coxeter.from_word(word)
     wtok = d.coxeter.element_token(w)
@@ -223,8 +221,7 @@ def _cmd_cexp(args) -> int:
     return EXIT_OK
 
 
-def _cmd_ext(args) -> int:
-    d = _resolve_datum(args)
+def _cmd_ext(args, d: dm.OrbitDatum) -> int:
     if args.gamma and not args.tau:
         raise _UsageError("--gamma requires --tau")
     for pid in (args.tau, args.gamma):
@@ -237,20 +234,15 @@ def _cmd_ext(args) -> int:
         rows.append(extseries.series_row(extseries.ic_cohomology(d, args.tau), args.window))
     else:
         for tau in d.basis:
-            for gamma in d.basis:
-                rows.append(
-                    extseries.series_row(
-                        extseries.ext_poincare(d, tau.id, gamma.id), args.window
-                    )
-                )
+            for es in extseries.ext_row(d, tau.id):
+                rows.append(extseries.series_row(es, args.window))
         for tau in d.basis:
             rows.append(extseries.series_row(extseries.ic_cohomology(d, tau.id), args.window))
     _emit(args, _render_rows(args, ("tau", "gamma", "series", "first_degrees"), rows))
     return EXIT_OK
 
 
-def _cmd_check(args) -> int:
-    d = _resolve_datum(args)
+def _cmd_check(args, d: dm.OrbitDatum) -> int:
     report = checksmod.run_check_suites(d, window=args.window)
     return _emit_report(args, d, report, "suite", ("FAILED", "OK"))
 
@@ -268,15 +260,25 @@ _COMMANDS = {
     "cexp": _cmd_cexp,
     "ext": _cmd_ext,
     "check": _cmd_check,
-    "list-builtins": _cmd_list_builtins,
 }
+
+
+def _run(args) -> int:
+    if args.command == "list-builtins":
+        return _cmd_list_builtins(args)
+    d = _resolve_datum(args)
+    try:
+        return _COMMANDS[args.command](args, d)
+    finally:
+        # the memoized tables refer back to d, so without this the datum
+        # and its tables outlive the call until the cyclic collector runs
+        d._cache.clear()
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        return _run(parser.parse_args(argv))
     except _UsageError as exc:
         print(f"klvwb: usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

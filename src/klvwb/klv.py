@@ -392,11 +392,10 @@ def parity_check(d: dm.OrbitDatum, window: int = 10) -> dm.ValidationReport:
     problems = []
     count = 0
     for tau in d.basis:
-        for gamma in d.basis:
-            es = extseries.ext_poincare(d, tau.id, gamma.id)
+        for es in extseries.ext_row(d, tau.id):
             count += 1
             if not extseries.single_parity(es, window):
-                problems.append(f"Ext({tau.id},{gamma.id}) mixes parities")
+                problems.append(f"Ext({tau.id},{es.gamma}) mixes parities")
         ic = extseries.ic_cohomology(d, tau.id)
         count += 1
         if not extseries.single_parity(ic, window):

@@ -1,8 +1,11 @@
+import gc
 import json
+import weakref
 from pathlib import Path
 
 import pytest
 
+from klvwb import cli
 from klvwb import datum as dm
 from klvwb.cli import MAX_WINDOW, main
 from klvwb.errors import DatumFormatError
@@ -309,3 +312,60 @@ def test_ext_ic_mode(capsys):
     assert main(["ext", "--builtin", "sl2-T", "--tau", "ws", "--format", "csv"]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[1] == "ws,,1,-1:1"
+
+
+def test_cached_parser_matches_fresh_parsers(capsys):
+    # one parser serves every call in a process; each outcome must be what
+    # a parser built for that call alone gives
+    runs = [
+        ["klv", "--builtin", "sl2-T", "--format", "csv"],
+        ["klv", "--format", "csv"],
+        ["ext", "--builtin", "sl2-T", "--window", "-1"],
+        ["ext", "--builtin", "sl2-T", "--format", "csv", "--window", "3"],
+    ]
+
+    def outcomes(fresh):
+        got = []
+        for argv in runs:
+            if fresh:
+                cli._build_parser.cache_clear()
+            code = main(argv)
+            out = capsys.readouterr()
+            got.append((code, out.out, out.err))
+        return got
+
+    cached = outcomes(fresh=False)
+    assert cached == outcomes(fresh=True)
+    assert [code for code, _, _ in cached] == [0, 3, 3, 0]
+    assert "must be a non-negative integer" in cached[2][2]
+    assert cli._build_parser() is cli._build_parser()
+
+
+def test_datum_is_freed_when_the_command_returns(monkeypatch, capsys):
+    # the memoized tables refer back to their datum; main drops them, so the
+    # datum goes with its last reference, not at a later cyclic collection
+    refs = []
+    build = dm.builtin_datum
+
+    def recording(name):
+        d = build(name)
+        refs.append(weakref.ref(d))
+        return d
+
+    monkeypatch.setattr(dm, "builtin_datum", recording)
+    runs = [
+        ["klv", "--builtin", "hecke-regular:A2"],
+        ["check", "--builtin", "sl2-T"],
+        ["ext", "--builtin", "sl2-N", "--format", "csv"],
+        ["ext", "--builtin", "sl2-N", "--tau", "nope"],
+    ]
+    gc.disable()
+    try:
+        codes = [main(argv) for argv in runs]
+        # read before the collector runs again
+        freed = [ref() is None for ref in refs]
+    finally:
+        gc.enable()
+    capsys.readouterr()
+    assert codes == [0, 0, 0, 3]
+    assert freed == [True] * len(runs)

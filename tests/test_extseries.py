@@ -1,9 +1,11 @@
 import functools
+import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from klvwb import cli
 from klvwb import datum as dm
 from klvwb import extseries as ext
 from klvwb import klv
@@ -132,7 +134,7 @@ def _fold_ext(d, tau, gamma):
     p_col = klv.klv_table(d).column(tau).coords
     q_col = ext._q_columns(d)[gamma]
     return _fold(d, (
-        (eps.id, p_col[eps.id].bar() * q_col[eps.id])
+        (eps.id, p_col[eps.id].bar() * LaurentPoly._raw(q_col[eps.id]))
         for eps in d.basis
         if eps.id in p_col and eps.id in q_col
     ))
@@ -140,7 +142,9 @@ def _fold_ext(d, tau, gamma):
 
 def _fold_ic(d, tau):
     q_col = ext._q_columns(d)[tau]
-    return _fold(d, ((eps.id, q_col[eps.id]) for eps in d.basis if eps.id in q_col))
+    return _fold(d, (
+        (eps.id, LaurentPoly._raw(q_col[eps.id])) for eps in d.basis if eps.id in q_col
+    ))
 
 
 @functools.cache
@@ -191,17 +195,40 @@ def test_grouped_sum_renders_as_the_fold(drawn):
     d = dm.load_datum(obj)
     assert (ext._series_groups(d) is None) == mixed
     for tau in d.basis:
-        for gamma in d.basis:
-            got = ext.ext_poincare(d, tau.id, gamma.id).series
-            assert render_series(got) == render_series(_fold_ext(d, tau.id, gamma.id))
+        row = ext.ext_row(d, tau.id)
+        assert [es.gamma for es in row] == [gamma.id for gamma in d.basis]
+        for es in row:
+            want = _fold_ext(d, tau.id, es.gamma)
+            assert render_series(es.series) == render_series(want)
+            got = ext.ext_poincare(d, tau.id, es.gamma)
+            assert render_series(got.series) == render_series(want)
+            assert got.degree_offset == es.degree_offset
+            oracle = ext.ExtSeries(tau.id, es.gamma, want, es.degree_offset)
+            for window in (0, 3, 10):
+                assert ext.series_row(es, window) == ext.series_row(oracle, window)
         got = ext.ic_cohomology(d, tau.id).series
         assert render_series(got) == render_series(_fold_ic(d, tau.id))
 
 
-def test_mixed_factor_datum_keeps_the_fold():
-    # summing per series here (in the series' first-seen order) would give
-    # (1+2q+3q^2-7q^4-5q^5+3q^6+6q^7+2q^8-3q^9+q^11)/(1-q^2)^3(1-q^3)
-    # for Ext(1.2.1, 1.2.1); the gate keeps the fold
+@pytest.mark.parametrize("mixed", [False, True])
+def test_a3_rows_render_as_the_fold(mixed):
+    # A3 is the smallest builtin whose P table has entries that bar moves
+    obj = dict(_dump("hecke-regular:A3"))
+    if mixed:
+        tables = [{"num": "1-3q^3", "den": [2, 2, 3]}, {"num": "1", "den": [2, 2, 2, 2]},
+                  {"num": "1", "den": []}]
+        obj["poincare"] = {pid: tables[i % 3] for i, pid in enumerate(sorted(obj["poincare"]))}
+    d = dm.load_datum(obj)
+    assert (ext._series_groups(d) is None) == mixed
+    assert any(p != p.bar() for _, _, p in klv.klv_table(d).rows())
+    for tau in d.basis:
+        for es in ext.ext_row(d, tau.id):
+            want = _fold_ext(d, tau.id, es.gamma)
+            oracle = ext.ExtSeries(tau.id, es.gamma, want, es.degree_offset)
+            assert ext.series_row(es, 10) == ext.series_row(oracle, 10)
+
+
+def _mixed_b2():
     obj = dict(_dump("hecke-regular:B2"))
     one = {"num": "1", "den": []}
     mixed = {"num": "1-3q^3", "den": [2, 2, 3]}
@@ -210,11 +237,66 @@ def test_mixed_factor_datum_keeps_the_fold():
         "e": mixed, "1": one, "2": mixed, "1.2": mixed, "2.1": fourth,
         "1.2.1": fourth, "2.1.2": one, "1.2.1.2": one,
     }
-    d = dm.load_datum(obj)
+    return obj
+
+
+def test_mixed_factor_datum_keeps_the_fold():
+    # summing per series here (in the series' first-seen order) would give
+    # (1+2q+3q^2-7q^4-5q^5+3q^6+6q^7+2q^8-3q^9+q^11)/(1-q^2)^3(1-q^3)
+    # for Ext(1.2.1, 1.2.1); the gate keeps the fold
+    d = dm.load_datum(_mixed_b2())
     assert ext._series_groups(d) is None
     got = ext.ext_poincare(d, "1.2.1", "1.2.1").series
     assert str(got) == "(1+2q+2q^2-q^3-8q^4-3q^5+9q^6+3q^7-4q^8+q^10)/(1-q^2)^4"
     assert str(got) == str(_fold_ext(d, "1.2.1", "1.2.1"))
+
+
+def test_mixed_factor_sweep_rows_equal_single_pairs(tmp_path, capsys):
+    # the same datum through the full klvwb ext sweep, against every single pair
+    obj = _mixed_b2()
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    src = ["--datum", str(path), "--format", "csv"]
+    assert cli.main(["ext", *src]) == 0
+    sweep = capsys.readouterr().out.splitlines()
+    pids = [p.id for p in dm.load_datum(obj).basis]
+    assert len(sweep) == 1 + len(pids) ** 2 + len(pids)
+    pairs = iter(sweep[1:])
+    for tau in pids:
+        for gamma in pids:
+            assert cli.main(["ext", *src, "--tau", tau, "--gamma", gamma]) == 0
+            assert capsys.readouterr().out.splitlines()[1] == next(pairs)
+    assert "(1+2q+2q^2-q^3-8q^4-3q^5+9q^6+3q^7-4q^8+q^10)/(1-q^2)^4" in (
+        sweep[1 + pids.index("1.2.1") * len(pids) + pids.index("1.2.1")]
+    )
+
+
+def test_shared_series_keeps_each_offset():
+    # one series object, one row memo, two offsets: each gamma is rendered
+    # with its own degrees, whichever comes first
+    s = series("q", [1])
+    for order in ((0, 1), (1, 0)):
+        memo = {}
+        rows = {
+            off: ext.ExtSeries("t", f"g{off}", s, off, memo) for off in order
+        }
+        got = {off: ext.series_row(es, 3) for off, es in rows.items()}
+        assert got[0] == ("t", "g0", "q/(1-q)", "2:1;4:1;6:1")
+        assert got[1] == ("t", "g1", "q/(1-q)", "1:1;3:1;5:1")
+        assert ext.series_row(rows[0], 2) == ("t", "g0", "q/(1-q)", "2:1;4:1")
+        assert all(ext.single_parity(es, 3) for es in rows.values())
+
+
+def test_row_shares_one_memo_and_equal_series():
+    d = dm.builtin_datum("hecke-regular:A3")
+    shared = 0
+    for tau in d.basis:
+        row = ext.ext_row(d, tau.id)
+        assert len({id(es.memo) for es in row}) == 1
+        shared += len(row) - len({id(es.series) for es in row})
+    assert shared > 0
+    with pytest.raises(DatumError):
+        ext.ext_row(d, "nope")
 
 
 def test_grouping_changes_the_form_under_mixed_factors():
