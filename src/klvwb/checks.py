@@ -6,6 +6,11 @@ involution laws, the self-dual basis contract, the module-equals-algebra
 cross oracle (hecke-regular datums), positivity of the C_w structure
 constants, cuspidal-implies-clean, and series parity.  Results come back
 as named pass/fail lines in a fixed order, so output is byte-stable.
+
+The selfdual-basis stability test, positivity and the integer-powers half
+of parity all read klv.expansion_report: one pass over C_w . L_tau, one
+tau at a time, made by whichever of them asks first and memoized as
+problem lines and a count, so no suite walks or keeps the expansions.
 """
 
 from __future__ import annotations
@@ -87,16 +92,9 @@ def _selfdual_suite(d: dm.OrbitDatum) -> dm.CheckResult:
         # leaves no room for an off-diagonal entry within one orbit.  Being a
         # basis, they make the dense test beta(C_w L_tau) q^(l(w)+dim tau)
         # == C_w L_tau hold iff, for every gamma,
-        # bar(c_gamma) q^(l(w)+dim tau-dim gamma) == c_gamma.
-        for w in d.coxeter.elements():
-            for p in d.params:
-                twist = w.length + p.dim
-                for gamma, c in klvmod.c_expansion(d, w, p.id).items():
-                    if c.bar().shift(twist - d.param_by_id[gamma].dim) != c:
-                        problems.append(
-                            f"C[{d.coxeter.element_token(w)}] L[{p.id}] not self-dual"
-                        )
-                        break
+        # bar(c_gamma) q^(l(w)+dim tau-dim gamma) == c_gamma, which
+        # klv.expansion_report tests on every (w, tau).
+        problems = list(klvmod.expansion_report(d).not_self_dual)
     return dm.CheckResult.of("selfdual-basis", problems, f"{len(d.params)} columns verified")
 
 
@@ -117,18 +115,10 @@ def _cross_oracle(d: dm.OrbitDatum) -> dm.CheckResult:
 
 
 def _positivity_suite(d: dm.OrbitDatum) -> dm.CheckResult:
-    problems = []
-    count = 0
-    for w in d.coxeter.elements():
-        for p in d.params:
-            for gamma, coeff in klvmod.c_expansion(d, w, p.id).items():
-                count += 1
-                if not coeff.is_nonnegative():
-                    problems.append(
-                        f"c[{d.coxeter.element_token(w)},{p.id},{gamma}] "
-                        "has a negative coefficient"
-                    )
-    return dm.CheckResult.of("positivity", problems, f"{count} coefficients checked")
+    report = klvmod.expansion_report(d)
+    return dm.CheckResult.of(
+        "positivity", list(report.negative), f"{report.coefficients} coefficients checked"
+    )
 
 
 def _cuspidal_clean_suite(d: dm.OrbitDatum) -> dm.CheckResult:

@@ -201,7 +201,7 @@ def kl_basis(sys: CoxeterSystem) -> KLBasis:
     from the side of v's column, the first two terms add each P_{x,v} to
     both x and xs, times q if xs < x.  Each finished column keeps its
     nonzero mu list for the columns above it; the lists stay on the result
-    as KLBasis.mus, where klv.c_expansion reads its W-graph edges.
+    as KLBasis.mus, where klv.expansion_row reads its W-graph edges.
     """
     els = sys.elements()
     right, lengths = sys.right_mul, sys.lengths

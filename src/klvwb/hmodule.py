@@ -286,7 +286,7 @@ def t_matrix_columns(d: dm.OrbitDatum, w: CoxElt) -> dict[str, ModuleVector]:
 def c_matrix_columns(d: dm.OrbitDatum, w: CoxElt) -> dict[str, ModuleVector]:
     """Columns of the C_w action: sum of P_{x,w} T_x columns.
 
-    klv.c_expansion reads these for the identity and the generators only;
+    klv._dense_expand reads these for the identity and the generators only;
     longer elements follow from them by the W-graph recursion."""
     cw = kl_basis(d.coxeter).c(w)
     sums: dict[str, dict[str, dict]] = {p.id: {} for p in d.params}

@@ -22,25 +22,31 @@ the columns no ascent certifies.
 On top of the table: mu extracts extreme-degree coefficients, c_expansion
 expresses C_w . L_tau in the self-dual basis, and is_clean / is_cuspidal /
 parity_check are the executable forms of the structural corollaries.
-c_expansion follows the W-graph of the KL basis (Kazhdan-Lusztig, Invent.
-Math. 53 (1979), sections 1-2): for a left descent s of w and w' = s w,
+The expansions follow the W-graph of the KL basis (Kazhdan-Lusztig,
+Invent. Math. 53 (1979), sections 1-2): for a left descent s of w and
+w' = s w,
 
     C_s C_w' = C_w + sum_{z < w', sz < z} mu(z, w') q^{(l(w)-l(z))/2} C_z,
 
 an identity in the Hecke algebra and so in every datum's module.  Only the
 identity and the generators are expanded from their dense C_w columns
-(exact unitriangular back substitution, no division); every longer w is
-read off shorter expansions and the mu lists of hecke.kl_basis.
+(exact unitriangular back substitution, no division), and only those
+(rank + 1) * |params| expansions are memoized per datum.  expansion_row
+reads every longer w off the shorter expansions of the same tau and the mu
+lists of hecke.kl_basis, one tau at a time; expansion_report makes one
+such pass for the check suites and keeps only their problem lines.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from . import datum as dm
 from . import hmodule as hm
-from .coxeter import CoxElt, memoized
+from .coxeter import CoxElt, CoxeterSystem, memoized
 from .errors import DatumError, NonGeometricDatum
 from .hecke import kl_basis
-from .laurent import ONE, LaurentPoly, render_poly, vaccum
+from .laurent import ONE, LaurentPoly, paccum_scaled, render_poly, vaccum
 
 # bounds the dense correction steps of a _beta_column, the columns the
 # ascent recursion does not seed
@@ -270,75 +276,208 @@ def c_expansion(d: dm.OrbitDatum, w, tau: str) -> dict[str, LaurentPoly]:
     """Coefficients of C_w . L_tau in the self-dual basis, keyed in
     descending basis order, zero coefficients dropped.
 
-    Generators and the identity are expanded densely; every longer w
-    follows from them by the W-graph recursion of _expand.  _expand is
-    coxeter.memoized, so each (w, tau) is expanded once per datum; callers
-    get a copy, so mutating the result cannot corrupt the memo.
+    The expansion is read from a row of tau that this function memoizes
+    per (datum, tau) and fills on demand with w and the shorter expansions
+    its W-graph steps read, so one w costs no whole row and a sweep over
+    every w builds each row once.  The check suites read expansion_report
+    instead, which keeps no row.  Callers get a new dict, so mutating the
+    result cannot corrupt the memo.
     """
-    table = klv_table(d)
+    klv_table(d)  # a datum without a table fails before its arguments are read
     w = _as_element(d, w)
     if tau not in d.param_by_id:
         raise DatumError(f"unknown parameter {tau!r}")
-    return dict(_expand(d, table, w, tau))
+    i = d.coxeter.index(w)
+    row = _row_memo(d, tau)
+    if i not in row:
+        expansion_row(d, tau, _missing(d.coxeter, row, i), row)
+    expansion = row[i]
+    index = d.basis_index
+    return {
+        gamma: LaurentPoly._raw(expansion[gamma])
+        for gamma in sorted(expansion, key=index.__getitem__, reverse=True)
+    }
 
 
 @memoized
-def _expand(d: dm.OrbitDatum, table: KLVTable, w: CoxElt, tau: str):
-    """C_w . L_tau in the self-dual basis.
+def _row_memo(d: dm.OrbitDatum, tau: str) -> dict[int, dict[str, dict]]:
+    """c_expansion's expansions of tau by element index; only c_expansion
+    reads it, and it fills it in place."""
+    return {}
 
-    For l(w) <= 1, C_w acts through its dense column matrix in the standard
-    basis and the product is solved back through the unitriangular table,
-    highest position first; no division occurs.  The generators are where
-    the recursion starts, since only the datum's descriptors say how C_s
-    acts, and their matrices are single T_s columns plus the identity, so
-    the dense path stays for these (rank + 1) * |params| expansions only.
 
-    For longer w, take the first left descent s of w and w' = s w.  The
+def _missing(sys: CoxeterSystem, row, i: int) -> list[int]:
+    """Element i and every element its W-graph steps read, directly or
+    not, that row lacks, in increasing order."""
+    steps = _wgraph_steps(sys)
+    todo, stack = {i}, [i]
+    while stack:
+        step = steps[stack.pop()]
+        if step is None:
+            continue
+        for j in (step[1], *(z for z, _, _ in step[2])):
+            if j not in row and j not in todo:
+                todo.add(j)
+                stack.append(j)
+    return sorted(todo)
+
+
+def expansion_row(
+    d: dm.OrbitDatum, tau: str, indices=None, row=None
+) -> dict[int, dict[str, dict]]:
+    """C_w . L_tau in the self-dual basis for the w with the given
+    increasing element indices, by default every w; each is added to row,
+    by default a new dict, under the index of w, as {gamma: kernel dict}
+    in no fixed key order.  Returns row.
+
+    The identity and the generators are read from _dense_expand.  For a
+    longer w, take the first left descent s of w and w' = s w.  The
     Kazhdan-Lusztig multiplication rule, an identity in the Hecke algebra
     and so in every datum's module, gives
 
         C_w = C_s C_w' - sum_{z < w', sz < z} mu(z, w') q^{(l(w)-l(z))/2} C_z,
 
-    so E[w][tau] = sum_gamma E[w'][tau]_gamma E[s][gamma] minus the mu
-    terms E[z][tau], every shorter expansion memoized.
+    so E[w] = sum_gamma E[w']_gamma E[s][gamma] minus the mu terms E[z].
+    Elements come in length order, so w' and every z come before w: each
+    must be in row already or among the indices.  Only this tau's shorter
+    expansions are read.  The dicts of the identity and generator entries
+    belong to the _dense_expand memo; read them, never mutate them.
     """
-    if w.length <= 1:
-        return _dense_expand(d, table, w, tau)
-    s, prev, edges = _wgraph_step(d, w)
-    gen = d.coxeter.generator(s)
-    acc: dict[str, dict] = {}
-    for gamma, c in _expand(d, table, prev, tau).items():
-        vaccum(acc, c._c, _expand(d, table, gen, gamma).items())
-    for z, mu, shift in edges:
-        vaccum(acc, {shift: -mu}, _expand(d, table, z, tau).items())
-    index = d.basis_index
-    return {
-        row: LaurentPoly._raw(acc[row])
-        for row in sorted(acc, key=index.__getitem__, reverse=True)
-    }
+    sys = d.coxeter
+    els = sys.elements()
+    steps = _wgraph_steps(sys)
+    gens = [sys.generator(s) for s in range(sys.rank)]
+    # cols[s][gamma]: the terms of E[s][gamma], looked up once per call
+    cols: list[dict] = [{} for _ in gens]
+    row = {} if row is None else row
+    for i in range(len(els)) if indices is None else indices:
+        step = steps[i]
+        if step is None:
+            row[i] = {gamma: c._c for gamma, c in _dense_expand(d, els[i], tau).items()}
+            continue
+        s, prev, edges = step
+        acc: dict[str, dict] = {}
+        col_s = cols[s]
+        for gamma, c in row[prev].items():
+            col = col_s.get(gamma)
+            if col is None:
+                col = col_s[gamma] = _dense_expand(d, gens[s], gamma).items()
+            vaccum(acc, c, col)
+        for z, mu, shift in edges:
+            for gamma, e in row[z].items():
+                a = acc.get(gamma)
+                if a is None:
+                    a = acc[gamma] = {}
+                paccum_scaled(a, e, -mu, shift)
+                if not a:
+                    del acc[gamma]
+        row[i] = acc
+    return row
 
 
 @memoized
-def _wgraph_step(d: dm.OrbitDatum, w: CoxElt):
-    """(s, s w, [(z, mu(z, s w), (l(w) - l(z))/2)] over the z with sz < z),
-    for the first left descent s of w."""
-    sys = d.coxeter
-    s = next(t for t in range(sys.rank) if w.has_left_descent(t))
-    prev = sys.generator(s) * w
+def _wgraph_steps(sys: CoxeterSystem) -> list:
+    """For each element w of sys, in elements() order: None when l(w) <= 1,
+    else (s, index of s w, [(index of z, mu(z, s w), (l(w) - l(z))/2)] over
+    the z with sz < z), for the first left descent s of w."""
     els = sys.elements()
-    edges = []
-    for z, mu in kl_basis(sys).mus[sys.index(prev)]:
-        if els[z].has_left_descent(s):
-            edges.append((els[z], mu, (w.length - els[z].length) // 2))
-    return s, prev, edges
+    mus = kl_basis(sys).mus
+    steps = []
+    for w in els:
+        if w.length <= 1:
+            steps.append(None)
+            continue
+        s = next(t for t in range(sys.rank) if w.has_left_descent(t))
+        prev = sys.index(sys.generator(s) * w)
+        edges = [
+            (z, mu, (w.length - els[z].length) // 2)
+            for z, mu in mus[prev]
+            if els[z].has_left_descent(s)
+        ]
+        steps.append((s, prev, edges))
+    return steps
 
 
-def _dense_expand(d: dm.OrbitDatum, table: KLVTable, w: CoxElt, tau: str):
+@memoized
+def _dense_expand(d: dm.OrbitDatum, w: CoxElt, tau: str) -> dict[str, LaurentPoly]:
+    """C_w . L_tau for l(w) <= 1, keyed in descending basis order.
+
+    C_w acts through its dense column matrix in the standard basis, and the
+    product is solved back through the unitriangular table, highest
+    position first; no division occurs.  Only the datum's descriptors say
+    how C_s acts, so these (rank + 1) * |params| expansions are where the
+    W-graph recursion of expansion_row starts, and the only ones memoized.
+    """
+    table = klv_table(d)
     residual = hm.matrix_apply(hm.c_matrix_columns(d, w), table.column(tau))
     # matrix_apply hands back freshly built coefficient dicts, so the
     # residual is reduced in place through them
     acc = {pid: c._c for pid, c in residual.terms.items()}
     return hm.unitriangular_coords(d, acc, lambda pid: table.columns[pid].terms)
+
+
+@dataclass(frozen=True)
+class ExpansionReport:
+    """What the check suites read from every C_w . L_tau of a datum: the
+    number of coefficients and each suite's problem lines, in w-major,
+    then d.params, then descending basis order."""
+
+    coefficients: int
+    not_self_dual: tuple[str, ...]
+    negative: tuple[str, ...]
+    non_integer: tuple[str, ...]
+
+
+@memoized
+def expansion_report(d: dm.OrbitDatum) -> ExpansionReport:
+    """One pass over expansion_row(d, tau) for each tau, each row dropped
+    once read, feeding the selfdual-basis stability test, positivity and
+    the expansion half of integer-powers.
+
+    Stability of C_w L_tau = sum_gamma c_gamma L_gamma is, with
+    k = l(w) + dim tau - dim gamma, bar(c_gamma) q^k == c_gamma for every
+    gamma (see checks._selfdual_suite).  e -> k - e is an involution, so
+    that holds iff c_gamma has coefficient v at k - e for every term v q^e.
+    """
+    sys = d.coxeter
+    els = sys.elements()
+    index = d.basis_index
+    dims = {p.id: p.dim for p in d.params}
+    count = 0
+    unstable, negative, non_integer = [], [], []
+    for j, p in enumerate(d.params):
+        for i, expansion in expansion_row(d, p.id).items():
+            k0 = els[i].length + p.dim
+            stable = True
+            for gamma, c in expansion.items():
+                count += 1
+                if stable:
+                    k = k0 - dims[gamma]
+                    stable = all(c.get(k - e) == v for e, v in c.items())
+                    if not stable:
+                        unstable.append((i, j))
+                if min(c.values(), default=0) < 0:
+                    negative.append((i, j, -index[gamma], gamma))
+                if not all(isinstance(e, int) for e in c):
+                    non_integer.append((i, j, -index[gamma], gamma))
+
+    def token(i):
+        return sys.element_token(els[i])
+
+    return ExpansionReport(
+        count,
+        tuple(
+            f"C[{token(i)}] L[{d.params[j].id}] not self-dual" for i, j in sorted(unstable)
+        ),
+        tuple(
+            f"c[{token(i)},{d.params[j].id},{gamma}] has a negative coefficient"
+            for i, j, _, gamma in sorted(negative)
+        ),
+        tuple(
+            f"c[{token(i)},{d.params[j].id},{gamma}] has non-integer powers"
+            for i, j, _, gamma in sorted(non_integer)
+        ),
+    )
 
 
 def is_clean(table: KLVTable, tau: str) -> bool:
@@ -348,7 +487,10 @@ def is_clean(table: KLVTable, tau: str) -> bool:
 
 
 def is_cuspidal(d: dm.OrbitDatum, tau: str) -> bool:
-    """True iff no ascent from another orbit produces tau in its C_s expansion."""
+    """True iff no ascent from another orbit produces tau in its C_s expansion.
+
+    Reads the generator expansions of the _dense_expand memo; no
+    expansion_row is built."""
     if tau not in d.param_by_id:
         raise DatumError(f"unknown parameter {tau!r}")
     target_orbit = d.param_by_id[tau].orbit
@@ -360,7 +502,7 @@ def is_cuspidal(d: dm.OrbitDatum, tau: str) -> bool:
                 continue
             if dm.s_star(d, s, p.orbit) != target_orbit:
                 continue
-            if tau in c_expansion(d, gen, p.id):
+            if tau in _dense_expand(d, gen, p.id):
                 return False
     return True
 
@@ -378,15 +520,9 @@ def parity_check(d: dm.OrbitDatum, window: int = 10) -> dm.ValidationReport:
         count += 1
         if any(not isinstance(e, int) for e in poly._c):
             problems.append(f"P[{gamma_id},{delta_id}] has non-integer powers")
-    for w in d.coxeter.elements():
-        for p in d.params:
-            for gamma_id, poly in c_expansion(d, w, p.id).items():
-                count += 1
-                if any(not isinstance(e, int) for e in poly._c):
-                    problems.append(
-                        f"c[{d.coxeter.element_token(w)},{p.id},{gamma_id}] "
-                        "has non-integer powers"
-                    )
+    report = expansion_report(d)
+    count += report.coefficients
+    problems.extend(report.non_integer)
     checks.append(dm.CheckResult.of("integer-powers", problems, f"{count} polynomials"))
 
     problems = []

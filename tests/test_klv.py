@@ -290,6 +290,138 @@ def test_c_expansion_result_does_not_alias_the_memo():
     assert klv.c_expansion(d, s, "wt") == expected
 
 
+def _expansion_suites_oracle(d):
+    """The selfdual-basis, positivity and integer-powers suites as separate
+    walks over c_expansion, w-major, then d.params, then descending basis
+    order: the reference for klv.expansion_report."""
+    sys = d.coxeter
+    table = klv.klv_table(d)
+    unstable = []
+    for w in sys.elements():
+        for p in d.params:
+            twist = w.length + p.dim
+            for gamma, c in klv.c_expansion(d, w, p.id).items():
+                if c.bar().shift(twist - d.param_by_id[gamma].dim) != c:
+                    unstable.append(f"C[{sys.element_token(w)}] L[{p.id}] not self-dual")
+                    break
+    negative = []
+    count = 0
+    for w in sys.elements():
+        for p in d.params:
+            for gamma, c in klv.c_expansion(d, w, p.id).items():
+                count += 1
+                if not c.is_nonnegative():
+                    negative.append(
+                        f"c[{sys.element_token(w)},{p.id},{gamma}] has a negative coefficient"
+                    )
+    fractional = []
+    rows = 0
+    for gamma_id, delta_id, poly in table.rows():
+        rows += 1
+        if any(not isinstance(e, int) for e in poly._c):
+            fractional.append(f"P[{gamma_id},{delta_id}] has non-integer powers")
+    for w in sys.elements():
+        for p in d.params:
+            for gamma, c in klv.c_expansion(d, w, p.id).items():
+                if any(not isinstance(e, int) for e in c._c):
+                    fractional.append(
+                        f"c[{sys.element_token(w)},{p.id},{gamma}] has non-integer powers"
+                    )
+    return (
+        dm.CheckResult.of(
+            "selfdual-basis",
+            klv.verify_klv_table(table, d) or unstable,
+            f"{len(d.params)} columns verified",
+        ),
+        dm.CheckResult.of("positivity", negative, f"{count} coefficients checked"),
+        dm.CheckResult.of("integer-powers", fractional, f"{rows + count} polynomials"),
+    )
+
+
+# (reduced word of w, tau) -> {gamma: (exponent, coefficient)} added to
+# C_w . L_tau; on sl2-T, params order (wt before ws) is not basis order
+_PLANTED = {
+    "sl2-T": {
+        ((0,), "wt"): {"ws": (0.5, -1), "wt": (3, -1)},
+        ((0,), "ws"): {"ws": (0.5, 1), "p0": (4, 1)},
+        ((), "ws"): {"ws": (1, -1)},
+        ((), "p0"): {"pInf": (-0.5, 2)},
+    },
+    "hecke-regular:A3": {
+        ((0,), "1"): {"1": (0.5, 1)},
+        ((1,), "e"): {"2": (5, -1)},
+        ((), "2.1"): {"2.1": (2, 1)},
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PLANTED))
+def test_planted_expansion_faults_match_the_three_walks(monkeypatch, name):
+    faults = _PLANTED[name]
+    dense = klv._dense_expand
+
+    def planted(d, w, tau):
+        out = dense(d, w, tau)
+        extra = faults.get((d.coxeter.reduced_word(w), tau))
+        if extra is None:
+            return out
+        out = dict(out)
+        for gamma, (exp, coeff) in extra.items():
+            c = dict(out[gamma]._c) if gamma in out else {}
+            c[exp] = c.get(exp, 0) + coeff
+            out[gamma] = LaurentPoly._raw(c)
+        return out
+
+    monkeypatch.setattr(klv, "_dense_expand", planted)
+    d = dm.builtin_datum(name)
+    report = {c.name: c for c in checks.run_check_suites(d).checks}
+    selfdual, positivity, integer = _expansion_suites_oracle(d)
+    assert report["selfdual-basis"] == selfdual
+    assert report["positivity"] == positivity
+    assert klv.parity_check(d).checks[0] == integer
+    assert f"integer-powers: {integer.detail}" in report["parity"].detail
+    # two or more faults of each kind, in different (w, tau)
+    assert len(set(selfdual.detail.split("; "))) >= 2
+    for result in (positivity, integer):
+        pairs = {line.split("[")[1].rsplit(",", 1)[0] for line in result.detail.split("; ")}
+        assert len(pairs) >= 2, result
+
+
+def _expansion_keys(d):
+    """Keys of d's memo that hold an expansion of C_w . L_tau."""
+    fns = (klv._dense_expand.__wrapped__, klv._row_memo.__wrapped__)
+    return [key for key in d._cache if key[0] in fns]
+
+
+def test_check_keeps_only_the_generator_expansions():
+    d = dm.builtin_datum("hecke-regular:C3")
+    assert checks.run_check_suites(d).ok
+    keys = _expansion_keys(d)
+    assert 0 < len(keys) <= (d.coxeter.rank + 1) * len(d.params)
+    assert all(key[0] is klv._dense_expand.__wrapped__ for key in keys)
+    assert not any(
+        getattr(arg, "length", 0) >= 2 for key in d._cache for arg in key[1:]
+    )
+
+
+def test_is_cuspidal_reads_the_generator_memo_only():
+    d = dm.builtin_datum("hecke-regular:C3")
+    assert [p.id for p in d.params if klv.is_cuspidal(d, p.id)] == ["e"]
+    keys = _expansion_keys(d)
+    assert keys and all(key[0] is klv._dense_expand.__wrapped__ for key in keys)
+
+
+def test_c_expansion_fills_only_the_row_entries_it_reads():
+    d = dm.builtin_datum("hecke-regular:C3")
+    sys = d.coxeter
+    w0 = sys.elements()[-1]
+    klv.c_expansion(d, w0, "e")
+    row = klv._row_memo(d, "e")
+    assert sys.index(w0) in row and len(row) < sys.order()
+    full = klv.expansion_row(d, "e")
+    assert all(row[i] == full[i] for i in row)
+
+
 @pytest.mark.parametrize("name", ["sl2-T", "hecke-regular:A2"])
 def test_selfdual_suite_catches_a_non_self_dual_action(monkeypatch, name):
     # T_s is not bar-invariant, so acting by T_w in place of C_w breaks stability
