@@ -11,6 +11,11 @@ The selfdual-basis stability test, positivity and the integer-powers half
 of parity all read klv.expansion_report: one pass over C_w . L_tau, one
 tau at a time, made by whichever of them asks first and memoized as
 problem lines and a count, so no suite walks or keeps the expansions.
+
+The series-parity half of parity builds no Ext or IC series.  Their
+single parity holds by construction once P, the costandard table and the
+Poincare numerators have integer exponents and every dim is an integer,
+and the suite certifies those inputs (see klv.parity_check).
 """
 
 from __future__ import annotations

@@ -11,6 +11,15 @@ cohomological degree 2m - (dim gamma - dim tau); it is anchored by the
 requirements that E(tau, tau) start with 1 in degree 0 and that every
 series live in a single parity.
 
+That parity holds by construction.  Q solves P over the unitriangular
+costandard table, so it divides by nothing; Z[q, q^-1] is closed under
++, -, x and bar; and PoincareSeries casts its denominator exponents to
+int.  When P, the costandard table and the Poincare numerators have
+integer exponents and every dim is an integer, every series therefore has
+integer exponents m, and each degree 2m - offset has the parity of its
+offset.  klv.parity_check certifies series-parity from those inputs and
+builds no series.
+
 ic_cohomology(tau) pairs the full standard basis against the class of tau:
 sum_eps Q[eps, tau] * pi_eps, read through degree 2m - dim tau.  For a
 clean parameter only the self term survives.
@@ -62,16 +71,6 @@ class ExtSeries:
     series: PoincareSeries
     degree_offset: int
     memo: dict = field(default_factory=dict, compare=False, repr=False)
-
-    def once(self, what: str, window: int, make):
-        """make(), computed once per (what, series, offset, window) among
-        the ExtSeries sharing this memo; the result is shared, read only."""
-        key = (what, id(self.series), self.degree_offset, window)
-        hit = self.memo.get(key)
-        if hit is None:
-            # holding the series keeps its id from being reused while the memo lives
-            hit = self.memo[key] = (self.series, make())
-        return hit[1]
 
     def dims(self, window: int) -> dict[int, int]:
         """{cohomological degree: dimension} for series exponents 0..window
@@ -228,21 +227,16 @@ def ic_cohomology(d: dm.OrbitDatum, tau: str) -> ExtSeries:
     )
 
 
-def single_parity(es: ExtSeries, window: int = 10) -> bool:
-    """True iff all nonzero dimensions sit in degrees of one parity.
-
-    This cannot fail: dims maps exponent m to degree 2m - degree_offset, so
-    every degree has the parity of the offset.  It still expands each
-    distinct series of a row once."""
-    return es.once("parity", window, lambda: len({deg % 2 for deg in es.dims(window)}) <= 1)
-
-
 def series_row(es: ExtSeries, window: int = 10) -> tuple[str, str, str, str]:
-    """(tau, gamma, series, first_degrees) with bit-stable formatting."""
+    """(tau, gamma, series, first_degrees) with bit-stable formatting.
 
-    def render():
+    The rendering is made once per (series, offset, window) among the
+    ExtSeries sharing es.memo, and the result is shared, read only."""
+    key = (id(es.series), es.degree_offset, window)
+    hit = es.memo.get(key)
+    if hit is None:
         degrees = ";".join(f"{deg}:{dim}" for deg, dim in sorted(es.dims(window).items()))
-        return render_series(es.series), degrees
-
-    text, degrees = es.once("row", window, render)
+        # holding the series keeps its id from being reused while the memo lives
+        hit = es.memo[key] = (es.series, render_series(es.series), degrees)
+    _, text, degrees = hit
     return (es.tau, es.gamma if es.gamma is not None else "", text, degrees)

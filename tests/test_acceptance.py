@@ -15,6 +15,7 @@ from klvwb import klv
 from klvwb.cli import main
 from klvwb.coxeter import build_system
 from klvwb.laurent import ONE, Q, LaurentPoly, PoincareSeries, parse_poly
+from test_klv import single_parity
 
 
 @contextmanager
@@ -144,9 +145,9 @@ def test_criterion_6_parity():
             for tau in d.basis:
                 for gamma in d.basis:
                     es = ext.ext_poincare(d, tau.id, gamma.id)
-                    assert ext.single_parity(es, 10), (name, tau.id, gamma.id)
+                    assert single_parity(es, 10), (name, tau.id, gamma.id)
                 ic = ext.ic_cohomology(d, tau.id)
-                assert ext.single_parity(ic, 10), (name, tau.id)
+                assert single_parity(ic, 10), (name, tau.id)
 
 
 def test_criterion_7_ext_exact_values():

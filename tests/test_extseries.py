@@ -11,6 +11,7 @@ from klvwb import extseries as ext
 from klvwb import klv
 from klvwb.errors import DatumError
 from klvwb.laurent import ONE, LaurentPoly, PoincareSeries, parse_poly, render_series
+from test_klv import assert_series_parity_matches_the_sweep, single_parity
 
 
 def series(num, den):
@@ -80,10 +81,10 @@ def test_parity_and_nonnegativity_over_builtins():
         for tau in d.basis:
             for gamma in d.basis:
                 es = ext.ext_poincare(d, tau.id, gamma.id)
-                assert ext.single_parity(es, 10), (name, tau.id, gamma.id)
+                assert single_parity(es, 10), (name, tau.id, gamma.id)
                 assert all(c >= 0 for c in es.dims(10).values())
             ic = ext.ic_cohomology(d, tau.id)
-            assert ext.single_parity(ic, 10), (name, tau.id)
+            assert single_parity(ic, 10), (name, tau.id)
             assert all(c >= 0 for c in ic.dims(10).values())
 
 
@@ -208,6 +209,7 @@ def test_grouped_sum_renders_as_the_fold(drawn):
                 assert ext.series_row(es, window) == ext.series_row(oracle, window)
         got = ext.ic_cohomology(d, tau.id).series
         assert render_series(got) == render_series(_fold_ic(d, tau.id))
+    assert_series_parity_matches_the_sweep(d)
 
 
 @pytest.mark.parametrize("mixed", [False, True])
@@ -251,6 +253,10 @@ def test_mixed_factor_datum_keeps_the_fold():
     assert str(got) == str(_fold_ext(d, "1.2.1", "1.2.1"))
 
 
+def test_mixed_factor_series_parity_matches_the_sweep():
+    assert_series_parity_matches_the_sweep(dm.load_datum(_mixed_b2()))
+
+
 def test_mixed_factor_sweep_rows_equal_single_pairs(tmp_path, capsys):
     # the same datum through the full klvwb ext sweep, against every single pair
     obj = _mixed_b2()
@@ -284,7 +290,7 @@ def test_shared_series_keeps_each_offset():
         assert got[0] == ("t", "g0", "q/(1-q)", "2:1;4:1;6:1")
         assert got[1] == ("t", "g1", "q/(1-q)", "1:1;3:1;5:1")
         assert ext.series_row(rows[0], 2) == ("t", "g0", "q/(1-q)", "2:1;4:1")
-        assert all(ext.single_parity(es, 3) for es in rows.values())
+        assert all(single_parity(es, 3) for es in rows.values())
 
 
 def test_row_shares_one_memo_and_equal_series():

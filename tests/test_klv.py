@@ -1,6 +1,7 @@
 import json
 import random
 import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -8,11 +9,12 @@ from hypothesis import strategies as st
 
 from klvwb import checks
 from klvwb import datum as dm
+from klvwb import extseries
 from klvwb import hecke
 from klvwb import hmodule as hm
 from klvwb import klv
-from klvwb.errors import DatumError, NonGeometricDatum
-from klvwb.laurent import ONE, LaurentPoly, parse_poly, render_poly
+from klvwb.errors import DatumError, DomainError, NonGeometricDatum
+from klvwb.laurent import ONE, LaurentPoly, PoincareSeries, parse_poly, render_poly
 
 
 def table_dict(table):
@@ -466,6 +468,117 @@ def test_parity_check_over_builtins():
     for name in dm.BUILTIN_NAMES:
         report = klv.parity_check(dm.builtin_datum(name))
         assert report.ok, (name, report.failed_names())
+
+
+def single_parity(es, window=10):
+    """True iff all nonzero dimensions of es sit in degrees of one parity."""
+    return len({deg % 2 for deg in es.dims(window)}) <= 1
+
+
+def _series_parity_oracle(d, window):
+    """The series-parity suite as a sweep that builds, expands and tests
+    every Ext and IC series: the reference for klv.parity_check."""
+    problems = []
+    count = 0
+    for tau in d.basis:
+        for es in extseries.ext_row(d, tau.id):
+            count += 1
+            if not single_parity(es, window):
+                problems.append(f"Ext({tau.id},{es.gamma}) mixes parities")
+        ic = extseries.ic_cohomology(d, tau.id)
+        count += 1
+        if not single_parity(ic, window):
+            problems.append(f"IC({tau.id}) mixes parities")
+    return dm.CheckResult.of(
+        "series-parity", problems, f"{count} series, window q^0..q^{window}"
+    )
+
+
+def assert_series_parity_matches_the_sweep(d):
+    for window in (0, 3, 10):
+        got = klv.parity_check(d, window).checks[1]
+        assert got == _series_parity_oracle(d, window), (d.name, window)
+
+
+_SERIES_DATUMS = (*dm.BUILTIN_NAMES, "hecke-regular:G2", "hecke-regular:C3")
+
+
+# costandard-stripped dumps take the derived path; the sl2 datums cannot
+# derive their table, so they appear with theirs only
+@pytest.mark.parametrize(
+    "name, derived",
+    [(name, False) for name in _SERIES_DATUMS]
+    + [(name, True) for name in _SERIES_DATUMS if name.startswith("hecke-regular:")],
+)
+def test_series_parity_matches_the_sweep(name, derived):
+    d = dm.builtin_datum(name)
+    if derived:
+        obj = d.to_jsonable()
+        del obj["costandard"]
+        d = dm.load_datum(obj)
+    assert hm.costandard_table(d)[1] == ("derived" if derived else "given")
+    assert_series_parity_matches_the_sweep(d)
+
+
+def test_check_builds_no_ext_series(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("a check suite built an Ext or IC series")
+
+    for fn in ("ext_row", "ext_poincare", "ic_cohomology"):
+        monkeypatch.setattr(extseries, fn, unreachable)
+    d = dm.builtin_datum("hecke-regular:C3")
+    report = checks.run_check_suites(d)
+    assert report.ok
+    assert "series-parity (2352 series, window q^0..q^10)" in report.checks[-1].detail
+    # no _q_columns, _q_rows or other extseries memo was made
+    assert not [key for key in d._cache if key[0].__module__ == extseries.__name__]
+
+
+_HALF = Fraction(1, 2)
+
+
+def _plant_half_power(d, source):
+    """Add q^(1/2) to one input of d's series, after its table and
+    expansions are made; return the source series-parity must name."""
+    top, low = d.basis[-1].id, d.basis[0].id
+    klv.klv_table(d)
+    klv.expansion_report(d)
+    if source == "P":
+        terms = klv.klv_table(d).column(top).terms
+        terms[low] = LaurentPoly._raw({**terms[low]._c, _HALF: 1})
+        return f"P[{low},{top}] has non-integer powers"
+    if source == "costandard":
+        col = hm.costandard_table(d)[0][top]
+        col[low] = LaurentPoly._raw({**col[low]._c, _HALF: 1})
+        return f"costandard[{top}][{low}] has non-integer powers"
+    if source == "poincare":
+        series = PoincareSeries(ONE, d.poincare[low].den)
+        series.num = LaurentPoly._raw({**series.num._c, _HALF: 1})
+        d.poincare[low] = series
+        return f"poincare[{low}] has non-integer powers"
+    # a frozen dataclass: only a planted fault changes a dim
+    param = d.param_by_id[top]
+    object.__setattr__(param, "dim", param.dim + _HALF)
+    return f"dim of {top} is not an integer"
+
+
+@pytest.mark.parametrize("source", ["P", "costandard", "poincare", "dim"])
+def test_series_parity_names_a_non_integral_input(source):
+    d = dm.builtin_datum("hecke-regular:A2")
+    offender = _plant_half_power(d, source)
+    for window in (0, 10):
+        integer, series = klv.parity_check(d, window).checks
+        assert series == dm.CheckResult(
+            "series-parity", False, f"cannot certify: {offender}"
+        )
+        assert integer.passed == (source != "P")
+        assert (offender in integer.detail) == (source == "P")
+
+
+def test_parity_check_rejects_an_empty_window():
+    d = dm.builtin_datum("sl2-T")
+    with pytest.raises(DomainError, match="empty expansion window"):
+        klv.parity_check(d, -1)
 
 
 def test_non_geometric_datum_detected(monkeypatch):
