@@ -114,7 +114,7 @@ def _resolve_datum(args) -> dm.OrbitDatum:
     try:
         with open(args.datum, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DatumFormatError(f"cannot read {args.datum}: {exc}") from None
     try:
         return dm.load_datum(text)

@@ -29,6 +29,7 @@ from .errors import (
     DatumError,
     DatumFormatError,
     DatumInvalid,
+    DomainError,
     MissingCostandard,
     MissingDescriptor,
     UnsupportedType,
@@ -422,6 +423,42 @@ class OrbitDatum:
         return f"OrbitDatum({self.name!r}, {len(self.params)} parameters)"
 
 
+def _records(obj: dict, section: str, names: tuple[str, ...]):
+    """Each object of the list obj[section], as (its location, its fields)."""
+    for i, item in enumerate(obj[section]):
+        where = f"{section}[{i}]"
+        if not isinstance(item, dict):
+            raise DatumFormatError(f"{where}: must be an object")
+        for name in names:
+            if name not in item:
+                raise DatumFormatError(f"{where}: missing field {name!r}")
+        yield where, [item[name] for name in names]
+
+
+def _by_param(table, where: str, ids, read, not_object=None, incomplete=None) -> dict:
+    """A JSON object keyed by parameter id, each entry parsed by read(place,
+    value), place naming the entry as in poincare['p0'].  A DomainError from
+    read is reported at its place.  not_object replaces the message for a
+    table that is no object; incomplete, an (error class, message prefix)
+    pair, requires every parameter to have an entry."""
+    if not isinstance(table, dict):
+        raise DatumFormatError(not_object or f"{where}: must be an object")
+    out = {}
+    for pid, value in table.items():
+        place = f"{where}[{pid!r}]"
+        if pid not in ids:
+            raise DatumFormatError(f"{place}: unknown parameter")
+        try:
+            out[pid] = read(place, value)
+        except DomainError as exc:
+            raise DatumFormatError(f"{place}: {exc}") from None
+    missing = ids - out.keys()
+    if incomplete and missing:
+        error, prefix = incomplete
+        raise error(prefix + ", ".join(sorted(missing)))
+    return out
+
+
 def load_datum(source) -> OrbitDatum:
     """Parse and materialize a datum from JSON text (or a parsed dict).
 
@@ -432,7 +469,9 @@ def load_datum(source) -> OrbitDatum:
     if isinstance(source, (str, bytes)):
         try:
             obj = json.loads(source)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
+            # ValueError covers bad encodings and integers past Python's
+            # digit limit; RecursionError, nesting deeper than the parser goes
             raise DatumFormatError(f"invalid JSON: {exc}") from None
     else:
         obj = source
@@ -448,50 +487,39 @@ def load_datum(source) -> OrbitDatum:
     spec = obj["coxeter"]
     if not isinstance(spec, dict) or not ({"type", "cartan"} & set(spec)):
         raise DatumFormatError("'coxeter' must carry 'type' or 'cartan'")
-    if "type" in spec:
-        if not isinstance(spec["type"], str):
-            raise DatumFormatError("'coxeter.type' must be a string")
-        system = cox.build_system(spec["type"])
-    else:
-        cartan = spec["cartan"]
-        if not (
-            isinstance(cartan, list)
-            and cartan
-            and all(isinstance(row, list) and len(row) == len(cartan[0]) for row in cartan)
-            and all(type(x) is int for row in cartan for x in row)
-        ):
-            raise DatumFormatError(
-                "'coxeter.cartan' must be a non-empty list of equal-length lists of integers"
-            )
-        # build_system raises UnsupportedType for a matrix of no finite type
-        system = cox.build_system(cartan)
+    kind = "type" if "type" in spec else "cartan"
+    value = spec[kind]
+    if kind == "type" and not isinstance(value, str):
+        raise DatumFormatError("'coxeter.type' must be a string")
+    if kind == "cartan" and not (
+        isinstance(value, list)
+        and value
+        and all(isinstance(row, list) and len(row) == len(value[0]) for row in value)
+        and all(type(x) is int for row in value for x in row)
+    ):
+        raise DatumFormatError(
+            "'coxeter.cartan' must be a non-empty list of equal-length lists of integers"
+        )
+    # build_system raises UnsupportedType for a type or matrix of no finite type
+    system = cox.build_system(value)
 
     for key in ("orbits", "closure", "params"):
         if not isinstance(obj[key], list):
             raise DatumFormatError(f"{key!r} must be a list")
 
-    orbits = []
-    seen = set()
-    for i, o in enumerate(obj["orbits"]):
-        if not isinstance(o, dict):
-            raise DatumFormatError(f"orbits[{i}]: must be an object")
-        try:
-            info = OrbitInfo(id=o["id"], dim=o["dim"], closed=o["closed"])
-        except KeyError as exc:
-            raise DatumFormatError(f"orbits[{i}]: missing field {exc}") from None
-        if not isinstance(info.id, str):
-            raise DatumFormatError(f"orbits[{i}]: id must be a string")
-        if type(info.dim) is not int:
-            raise DatumFormatError(f"orbits[{i}]: dim must be an integer")
-        if type(info.closed) is not bool:
-            raise DatumFormatError(f"orbits[{i}]: closed must be true or false")
-        if info.dim < 0:
-            raise DatumFormatError(f"orbits[{i}]: negative dimension")
-        if info.id in seen:
-            raise DatumFormatError(f"orbits[{i}]: duplicate orbit id {info.id!r}")
-        seen.add(info.id)
-        orbits.append(info)
-    orbit_by_id = {o.id: o for o in orbits}
+    orbit_by_id: dict[str, OrbitInfo] = {}
+    for where, (oid, dim, closed) in _records(obj, "orbits", ("id", "dim", "closed")):
+        if not isinstance(oid, str):
+            raise DatumFormatError(f"{where}: id must be a string")
+        if type(dim) is not int:
+            raise DatumFormatError(f"{where}: dim must be an integer")
+        if type(closed) is not bool:
+            raise DatumFormatError(f"{where}: closed must be true or false")
+        if dim < 0:
+            raise DatumFormatError(f"{where}: negative dimension")
+        if oid in orbit_by_id:
+            raise DatumFormatError(f"{where}: duplicate orbit id {oid!r}")
+        orbit_by_id[oid] = OrbitInfo(oid, dim, closed)
 
     closure = []
     for i, pair in enumerate(obj["closure"]):
@@ -499,130 +527,79 @@ def load_datum(source) -> OrbitDatum:
             isinstance(pair, list) and len(pair) == 2 and all(isinstance(o, str) for o in pair)
         ):
             raise DatumFormatError(f"closure[{i}]: must be [lower, upper] orbit ids")
-        lo, hi = pair
-        for oid in (lo, hi):
+        for oid in pair:
             if oid not in orbit_by_id:
                 raise DatumFormatError(f"closure[{i}]: unknown orbit {oid!r}")
-        closure.append((lo, hi))
+        closure.append(tuple(pair))
 
-    params = []
-    seen_ids: set[str] = set()
+    param_by_id: dict[str, Parameter] = {}
     seen_pairs = set()
-    for i, p in enumerate(obj["params"]):
-        if not isinstance(p, dict):
-            raise DatumFormatError(f"params[{i}]: must be an object")
-        try:
-            pid, porb, psys = p["id"], p["orbit"], p["local_system"]
-        except KeyError as exc:
-            raise DatumFormatError(f"params[{i}]: missing field {exc}") from None
+    for where, (pid, porb, psys) in _records(obj, "params", ("id", "orbit", "local_system")):
         if not all(isinstance(v, str) for v in (pid, porb, psys)):
-            raise DatumFormatError(
-                f"params[{i}]: id, orbit and local_system must be strings"
-            )
-        if pid in seen_ids:
-            raise DatumFormatError(f"params[{i}]: duplicate parameter id {pid!r}")
+            raise DatumFormatError(f"{where}: id, orbit and local_system must be strings")
+        if pid in param_by_id:
+            raise DatumFormatError(f"{where}: duplicate parameter id {pid!r}")
         if porb not in orbit_by_id:
-            raise DatumFormatError(f"params[{i}]: unknown orbit {porb!r}")
+            raise DatumFormatError(f"{where}: unknown orbit {porb!r}")
         if (porb, psys) in seen_pairs:
             raise DatumFormatError(
-                f"params[{i}]: duplicate (orbit, local_system) pair ({porb!r}, {psys!r})"
+                f"{where}: duplicate (orbit, local_system) pair ({porb!r}, {psys!r})"
             )
-        seen_ids.add(pid)
         seen_pairs.add((porb, psys))
-        params.append(
-            Parameter(id=pid, orbit=porb, local_system=psys, dim=orbit_by_id[porb].dim)
-        )
-    param_ids = {p.id for p in params}
+        param_by_id[pid] = Parameter(pid, porb, psys, orbit_by_id[porb].dim)
+    ids = param_by_id.keys()
+
+    def descriptor(place, desc_obj):
+        if not isinstance(desc_obj, dict) or "case" not in desc_obj:
+            raise DatumFormatError(f"{place}: descriptor must be an object with 'case'")
+        case = desc_obj["case"]
+        cls = DESCRIPTORS.get(case) if isinstance(case, str) else None
+        if cls is None:
+            raise DatumFormatError(f"{place}: unknown descriptor case {case!r}")
+        desc = cls.from_json(desc_obj, place)
+        for target in desc.targets():
+            if target not in ids:
+                raise DatumFormatError(f"{place}: dangling parameter {target!r}")
+        return desc
+
+    def costandard_column(place, rows):
+        entry = _by_param(rows, place, ids, lambda _, text: parse_poly(text))
+        return {row: poly for row, poly in entry.items() if not poly.is_zero()}
 
     actions_in = obj["actions"]
     if not isinstance(actions_in, dict):
         raise DatumFormatError("'actions' must be an object keyed by generator index")
-    expected_keys = {str(s + 1) for s in range(system.rank)}
-    if set(actions_in) != expected_keys:
-        raise DatumFormatError(
-            f"'actions' keys must be exactly {sorted(expected_keys)}, "
-            f"got {sorted(actions_in)}"
-        )
-    actions: dict[int, dict] = {}
+    expected = sorted(str(s + 1) for s in range(system.rank))
+    got = sorted(actions_in)
+    if got != expected:
+        raise DatumFormatError(f"'actions' keys must be exactly {expected}, got {got}")
+    actions = {}
     for key, rows in actions_in.items():
-        s = int(key) - 1
-        if not isinstance(rows, dict):
-            raise DatumFormatError(f"actions[{key}] must be an object keyed by parameter")
-        table = {}
-        for pid, desc_obj in rows.items():
-            if pid not in param_ids:
-                raise DatumFormatError(f"actions[{key}][{pid!r}]: unknown parameter")
-            where = f"actions[{key}][{pid!r}]"
-            if not isinstance(desc_obj, dict) or "case" not in desc_obj:
-                raise DatumFormatError(f"{where}: descriptor must be an object with 'case'")
-            case = desc_obj["case"]
-            cls = DESCRIPTORS.get(case) if isinstance(case, str) else None
-            if cls is None:
-                raise DatumFormatError(f"{where}: unknown descriptor case {case!r}")
-            desc = cls.from_json(desc_obj, where)
-            for target in desc.targets():
-                if target not in param_ids:
-                    raise DatumFormatError(
-                        f"actions[{key}][{pid!r}]: dangling parameter {target!r}"
-                    )
-            table[pid] = desc
-        missing = param_ids - set(table)
-        if missing:
-            raise MissingDescriptor(
-                f"actions[{key}]: no descriptor for parameter(s) "
-                + ", ".join(sorted(missing))
-            )
-        actions[s] = table
+        where = f"actions[{key}]"
+        keyed = f"{where} must be an object keyed by parameter"
+        missing = (MissingDescriptor, f"{where}: no descriptor for parameter(s) ")
+        actions[int(key) - 1] = _by_param(rows, where, ids, descriptor, keyed, missing)
 
-    costandard = None
-    if "costandard" in obj:
-        if not isinstance(obj["costandard"], dict):
-            raise DatumFormatError("'costandard' must be an object keyed by parameter")
-        costandard = {}
-        for col, rows in obj["costandard"].items():
-            if col not in param_ids:
-                raise DatumFormatError(f"costandard[{col!r}]: unknown parameter")
-            if not isinstance(rows, dict):
-                raise DatumFormatError(f"costandard[{col!r}]: must be an object")
-            entry = {}
-            for row, text in rows.items():
-                if row not in param_ids:
-                    raise DatumFormatError(
-                        f"costandard[{col!r}][{row!r}]: unknown parameter"
-                    )
-                poly = parse_poly(text)
-                if not poly.is_zero():
-                    entry[row] = poly
-            costandard[col] = entry
-        missing = param_ids - set(costandard)
-        if missing:
-            raise DatumFormatError(
-                "costandard table incomplete; missing column(s) "
-                + ", ".join(sorted(missing))
-            )
-
-    if not isinstance(obj["poincare"], dict):
-        raise DatumFormatError("'poincare' must be an object keyed by parameter")
-    poincare = {}
-    for pid, sobj in obj["poincare"].items():
-        if pid not in param_ids:
-            raise DatumFormatError(f"poincare[{pid!r}]: unknown parameter")
-        poincare[pid] = parse_series(sobj)
-    missing = param_ids - set(poincare)
-    if missing:
-        raise DatumFormatError(
-            "poincare table incomplete; missing " + ", ".join(sorted(missing))
-        )
+    # poincare is always present: its key is checked above
+    tables = {}
+    for name, read, what in (
+        ("costandard", costandard_column, "column(s) "),
+        ("poincare", lambda _, sobj: parse_series(sobj), ""),
+    ):
+        if name in obj:
+            keyed = f"{name!r} must be an object keyed by parameter"
+            missing = (DatumFormatError, f"{name} table incomplete; missing {what}")
+            tables[name] = _by_param(obj[name], name, ids, read, keyed, missing)
 
     return OrbitDatum(
         name=obj["name"],
-        coxeter_spec={"type": spec["type"]} if "type" in spec else {"cartan": spec["cartan"]},
-        orbits=orbits,
+        coxeter_spec={kind: value},
+        orbits=orbit_by_id.values(),
         closure_pairs=closure,
-        params=params,
+        params=param_by_id.values(),
         actions=actions,
-        costandard=costandard,
-        poincare=poincare,
+        costandard=tables.get("costandard"),
+        poincare=tables["poincare"],
     )
 
 

@@ -293,12 +293,15 @@ def parse_poly(text: str) -> LaurentPoly:
             raise DomainError(f"cannot parse polynomial {text!r} at offset {pos}")
         if not first and not sign:
             raise DomainError(f"missing sign in polynomial {text!r} at offset {pos}")
-        coeff = int(num) if num is not None else 1
+        exp = 0
+        try:
+            coeff = int(num) if num is not None else 1
+            if qpart is not None:
+                exp = int(qexp) if qexp is not None else 1
+        except ValueError:  # past Python's limit on the digits of int(str)
+            raise DomainError(f"integer too long in polynomial at offset {pos}") from None
         if sign == "-":
             coeff = -coeff
-        exp = 0
-        if qpart is not None:
-            exp = int(qexp) if qexp is not None else 1
         val = coeffs.get(exp, 0) + coeff
         if val:
             coeffs[exp] = val
@@ -503,6 +506,15 @@ def _multiset_diff(a, b):
     return out
 
 
+# The most terms _divide_once builds.  A quotient can be as long as its
+# numerator's span, so 1 - q^N (a few bytes of JSON) divided by 1 - q would
+# take N terms, about 100 bytes each.  No builtin needs a long one: the Ext
+# sweeps of sl2-T, sl2-N and hecke-regular G2, C3 and D4 divide nothing
+# exactly, their numerators span at most 12 degrees, and the longest
+# quotient in the test suite has 59 terms.
+MAX_QUOTIENT_TERMS = 100_000
+
+
 def _divide_once(num: LaurentPoly, a: int):
     """num / (1 - q^a) if the division is exact, else None.
 
@@ -513,7 +525,8 @@ def _divide_once(num: LaurentPoly, a: int):
     coefficient at e is the running sum of num along e's residue chain up
     to e.  That sum returns to 0 at the chain's top term, where the quotient
     stops: each run fills the exponents from one term of the chain up to the
-    next, and the top term starts none.
+    next, and the top term starts none.  The runs are sized before any is
+    filled, and more than MAX_QUOTIENT_TERMS terms raise DomainError.
     """
     c = num._c
     sums: dict[int, int] = {}
@@ -525,14 +538,22 @@ def _divide_once(num: LaurentPoly, a: int):
     chains: dict[int, list[int]] = {}
     for e in sorted(c):
         chains.setdefault(e % a, []).append(e)
-    h: dict[int, int] = {}
+    runs = []
     for chain in chains.values():
         run = 0
         for e, nxt in zip(chain, chain[1:]):
             run += c[e]
             if run:
-                for x in range(e, nxt, a):
-                    h[x] = run
+                runs.append((e, nxt, run))
+    size = sum((nxt - e) // a for e, nxt, _ in runs)
+    if size > MAX_QUOTIENT_TERMS:
+        raise DomainError(
+            f"dividing by (1-q^{a}) would give {size} terms, more than {MAX_QUOTIENT_TERMS}"
+        )
+    h: dict[int, int] = {}
+    for e, nxt, run in runs:
+        for x in range(e, nxt, a):
+            h[x] = run
     return LaurentPoly._raw(h)
 
 

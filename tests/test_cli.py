@@ -1,14 +1,22 @@
+import contextlib
 import gc
+import io
 import json
+import os
+import subprocess
+import sys
 import weakref
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from klvwb import cli
 from klvwb import datum as dm
 from klvwb.cli import MAX_WINDOW, main
-from klvwb.errors import DatumFormatError
+from klvwb.errors import DatumFormatError, UnsupportedType
+from klvwb.laurent import MAX_QUOTIENT_TERMS
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -166,6 +174,14 @@ def test_validate_file_with_missing_row_exits_1(tmp_path, capsys):
     assert "invalid datum" in capsys.readouterr().err
 
 
+def _assert_one_invalid_datum_line(code, captured):
+    assert code == 1
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("klvwb: invalid datum:"), lines
+    return lines[0]
+
+
 @pytest.mark.parametrize(
     "where,value",
     [
@@ -195,6 +211,13 @@ def test_validate_file_with_missing_row_exits_1(tmp_path, capsys):
         (("orbits", 0, "dim"), True),
         (("orbits", 0, "closed"), "false"),
         (("orbits", 0, "closed"), 1),
+        # parse errors of polynomials and series, reported at their entry
+        (("costandard", "wt", "p0"), 5),
+        pytest.param(("costandard", "wt", "p0"), "q^" + "1" * 5000, id="where27-long-exponent"),
+        (("poincare", "ws"), 5),
+        (("poincare", "ws"), {"num": "1-", "den": []}),
+        (("poincare", "ws"), {"num": "1", "den": [0]}),
+        (("actions", "1", "ws"), {"case": "ExplicitRow", "coeffs": {"ws": "x"}}),
     ],
 )
 def test_hostile_datum_is_rejected_cleanly(tmp_path, capsys, where, value):
@@ -208,11 +231,121 @@ def test_hostile_datum_is_rejected_cleanly(tmp_path, capsys, where, value):
     path.write_text(json.dumps(obj), encoding="utf-8")
     with pytest.raises(DatumFormatError):
         dm.load_datum(path.read_text(encoding="utf-8"))
-    assert main(["check", "--datum", str(path), "--format", "csv"]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    lines = captured.err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("klvwb: invalid datum:")
+    code = main(["check", "--datum", str(path), "--format", "csv"])
+    _assert_one_invalid_datum_line(code, capsys.readouterr())
+
+
+def test_file_that_is_not_utf8_is_rejected_cleanly(tmp_path, capsys):
+    path = tmp_path / "utf16.json"
+    text = json.dumps(dm.builtin_datum("sl2-T").to_jsonable())
+    path.write_bytes(b"\xff\xfe" + text.encode("utf-16-le"))
+    line = _assert_one_invalid_datum_line(
+        main(["validate", "--datum", str(path)]), capsys.readouterr()
+    )
+    assert "can't decode byte 0xff" in line
+
+
+def test_deeply_nested_json_is_rejected_cleanly(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 1000 + "]" * 1000, encoding="utf-8")
+    line = _assert_one_invalid_datum_line(
+        main(["validate", "--datum", str(path)]), capsys.readouterr()
+    )
+    assert line.startswith("klvwb: invalid datum: invalid JSON: maximum recursion depth")
+
+
+def test_long_series_quotient_is_refused_in_bounded_memory(tmp_path):
+    # 1 - q^N over (1 - q) reduces to N terms: about 10 GB for this file of
+    # under 1 KB.  The child's address space is capped, so a regression
+    # fails this test instead of exhausting the host.
+    obj = dm.builtin_datum("sl2-T").to_jsonable()
+    obj["poincare"]["ws"] = {"num": "1-q^100000000", "den": [1]}
+    path = tmp_path / "long_quotient.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    child = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))\n"
+        "from klvwb.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", child, "validate", "--datum", str(path)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=env,
+    )
+    assert (proc.returncode, proc.stdout) == (1, ""), proc.stderr[-2000:]
+    assert proc.stderr.splitlines() == [
+        "klvwb: invalid datum: poincare['ws']: dividing by (1-q^1) would give "
+        f"100000000 terms, more than {MAX_QUOTIENT_TERMS}"
+    ]
+
+
+# ------------------------------------------------------------ fuzz property
+
+_FUZZ_BASES = {
+    name: dm.builtin_datum(name).to_jsonable()
+    for name in ("sl2-T", "sl2-N", "hecke-regular:A1", "hecke-regular:A2")
+}
+# wrong types, ids that exist and ids that do not, malformed polynomials and
+# series, and a numerator whose quotient would be long
+_HOSTILE = st.sampled_from([
+    None, True, 0, -1, 7, 1.5, 10**30, "", "x", "p0", "e", "1", "w", "q^-1", "1-",
+    "1-q^1000000", [], ["p0", "wt"], {}, {"case": "CompactG"}, {"case": "AscentU"},
+    {"num": "1", "den": [1]}, {"num": "1-q^1000000", "den": [1]}, {"den": [0]},
+])
+
+
+def _nodes(node, path=()):
+    """The path of every value inside node, node itself excluded."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield path + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _nodes(value, path + (key,))
+
+
+@st.composite
+def _mutated_dumps(draw):
+    """A builtin dump with one key deleted, one value replaced from the
+    hostile pool, or one key added to an object."""
+    obj = json.loads(json.dumps(_FUZZ_BASES[draw(st.sampled_from(sorted(_FUZZ_BASES)))]))
+    *parents, key = draw(st.sampled_from(list(_nodes(obj))))
+    parent = obj
+    for k in parents:
+        parent = parent[k]
+    op = draw(st.sampled_from(["delete", "replace", "add"]))
+    if op == "delete":
+        del parent[key]
+    elif op == "add" and isinstance(parent[key], dict):
+        parent[key][draw(st.sampled_from(["ghost", "p0", "e", "num"]))] = draw(_HOSTILE)
+    else:
+        parent[key] = draw(_HOSTILE)
+    return json.dumps(obj)
+
+
+@settings(
+    deadline=None,
+    max_examples=300,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(text=_mutated_dumps())
+def test_mutated_dumps_load_or_fail_cleanly(tmp_path, text):
+    try:
+        assert isinstance(dm.load_datum(text), dm.OrbitDatum)
+    except (DatumFormatError, UnsupportedType):
+        pass
+    path = tmp_path / "mutated.json"
+    path.write_text(text, encoding="utf-8")
+    for verb in ("check", "klv"):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([verb, "--datum", str(path)])
+        assert code in (0, 1, 2, 3)
+        assert sum(line.startswith("klvwb:") for line in err.getvalue().splitlines()) <= 1
 
 
 def test_klv_missing_costandard_exits_2(tmp_path, capsys):

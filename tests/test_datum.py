@@ -10,6 +10,7 @@ from klvwb import hmodule as hm
 from klvwb.errors import (
     DatumError,
     DatumFormatError,
+    KlvwbError,
     MissingDescriptor,
     UnsupportedType,
 )
@@ -127,6 +128,255 @@ def test_load_rejects_schema_problems():
 
     with pytest.raises(DatumFormatError, match="invalid JSON"):
         dm.load_datum("{not json")
+
+
+# Every message load_datum can raise, pinned on mutations of two dumps.  A
+# row is (base, path, value, exception, message): base names the dump ("T"
+# for sl2-T, "A2" for hecke-regular:A2) and None takes value as the file
+# text; value DEL deletes the key at path, and a path ending in "+" appends
+# value to the list.  The rows marked "located" carry the entry's location
+# in front of a parse error that the polynomial and series parsers raise.
+DEL = object()
+_BASES = {"T": "sl2-T", "A2": "hecke-regular:A2"}
+_LONG = "1" * 5000  # past Python's 4300-digit limit for int(str)
+_DIGITS = (
+    "Exceeds the limit (4300 digits) for integer string conversion: value has "
+    "5000 digits; use sys.set_int_max_str_digits() to increase the limit"
+)
+_CARTAN = "'coxeter.cartan' must be a non-empty list of equal-length lists of integers"
+_PARAM_STRINGS = "params[0]: id, orbit and local_system must be strings"
+_XR = "ExplicitRow"
+
+LOAD_ERRORS = [
+    # the text and the top level
+    (None, None, "{not json", DatumFormatError,
+     "invalid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    (None, None, "[]", DatumFormatError, "datum must be a JSON object"),
+    (None, None, '"sl2-T"', DatumFormatError, "datum must be a JSON object"),
+    (None, None, f"[{_LONG}]", DatumFormatError, f"invalid JSON: {_DIGITS}"),  # was ValueError
+    ("T", ("name",), DEL, DatumFormatError, "missing top-level key 'name'"),
+    ("T", ("coxeter",), DEL, DatumFormatError, "missing top-level key 'coxeter'"),
+    ("T", ("orbits",), DEL, DatumFormatError, "missing top-level key 'orbits'"),
+    ("T", ("closure",), DEL, DatumFormatError, "missing top-level key 'closure'"),
+    ("T", ("params",), DEL, DatumFormatError, "missing top-level key 'params'"),
+    ("T", ("actions",), DEL, DatumFormatError, "missing top-level key 'actions'"),
+    ("T", ("poincare",), DEL, DatumFormatError, "missing top-level key 'poincare'"),
+    ("T", ("name",), 7, DatumFormatError, "'name' must be a string"),
+    # coxeter
+    ("T", ("coxeter",), 5, DatumFormatError, "'coxeter' must carry 'type' or 'cartan'"),
+    ("T", ("coxeter",), {}, DatumFormatError, "'coxeter' must carry 'type' or 'cartan'"),
+    ("T", ("coxeter",), {"type": 5}, DatumFormatError, "'coxeter.type' must be a string"),
+    ("T", ("coxeter",), {"type": "H3"}, UnsupportedType,
+     "unknown Coxeter type 'H3'; supported: A1, A2, A3, A4, B2, B4, C3, C4, D4, F4, G2"),
+    ("T", ("coxeter",), {"cartan": 5}, DatumFormatError, _CARTAN),
+    ("T", ("coxeter",), {"cartan": []}, DatumFormatError, _CARTAN),
+    ("T", ("coxeter",), {"cartan": [[2, -1], [-1]]}, DatumFormatError, _CARTAN),
+    ("T", ("coxeter",), {"cartan": [[2.0]]}, DatumFormatError, _CARTAN),
+    ("T", ("coxeter",), {"cartan": [[True]]}, DatumFormatError, _CARTAN),
+    ("T", ("coxeter",), {"cartan": [[2, -1]]}, UnsupportedType, "Cartan matrix is not square"),
+    ("T", ("coxeter",), {"cartan": [[2, -2], [-2, 2]]}, UnsupportedType,
+     "Cartan matrix is not of finite crystallographic type"),
+    ("T", ("coxeter",), {"cartan": [[2, 0, 0, 0, 0]] * 5}, UnsupportedType,
+     "rank must be between 1 and 4, got 5"),
+    ("A2", ("coxeter",), {"type": "A1"}, DatumFormatError,
+     "'actions' keys must be exactly ['1'], got ['1', '2']"),
+    # the list sections
+    ("T", ("orbits",), 5, DatumFormatError, "'orbits' must be a list"),
+    ("T", ("closure",), {}, DatumFormatError, "'closure' must be a list"),
+    ("T", ("params",), "p0", DatumFormatError, "'params' must be a list"),
+    ("T", ("orbits", 0), "0", DatumFormatError, "orbits[0]: must be an object"),
+    ("T", ("orbits", 0, "id"), DEL, DatumFormatError, "orbits[0]: missing field 'id'"),
+    ("T", ("orbits", 0, "dim"), DEL, DatumFormatError, "orbits[0]: missing field 'dim'"),
+    ("T", ("orbits", 0, "closed"), DEL, DatumFormatError, "orbits[0]: missing field 'closed'"),
+    ("T", ("orbits", 0), {"id": 5}, DatumFormatError, "orbits[0]: missing field 'dim'"),
+    ("T", ("orbits", 0, "id"), 0, DatumFormatError, "orbits[0]: id must be a string"),
+    ("T", ("orbits", 0, "dim"), "0", DatumFormatError, "orbits[0]: dim must be an integer"),
+    ("T", ("orbits", 0, "dim"), 1.5, DatumFormatError, "orbits[0]: dim must be an integer"),
+    ("T", ("orbits", 0, "dim"), True, DatumFormatError, "orbits[0]: dim must be an integer"),
+    ("T", ("orbits", 0, "closed"), 1, DatumFormatError,
+     "orbits[0]: closed must be true or false"),
+    ("T", ("orbits", 0, "closed"), "true", DatumFormatError,
+     "orbits[0]: closed must be true or false"),
+    ("T", ("orbits", 0, "dim"), -1, DatumFormatError, "orbits[0]: negative dimension"),
+    ("T", ("orbits", 1, "id"), "0", DatumFormatError, "orbits[1]: duplicate orbit id '0'"),
+    ("T", ("closure", 0), "0", DatumFormatError, "closure[0]: must be [lower, upper] orbit ids"),
+    ("T", ("closure", 0), ["0"], DatumFormatError,
+     "closure[0]: must be [lower, upper] orbit ids"),
+    ("T", ("closure", 0), ["0", "w", "inf"], DatumFormatError,
+     "closure[0]: must be [lower, upper] orbit ids"),
+    ("T", ("closure", 1), [0, "w"], DatumFormatError,
+     "closure[1]: must be [lower, upper] orbit ids"),
+    ("T", ("closure", 0), ["0", "ghost"], DatumFormatError, "closure[0]: unknown orbit 'ghost'"),
+    ("T", ("closure", 1), ["ghost", "w"], DatumFormatError, "closure[1]: unknown orbit 'ghost'"),
+    ("T", ("params", 0), 5, DatumFormatError, "params[0]: must be an object"),
+    ("T", ("params", 0, "id"), DEL, DatumFormatError, "params[0]: missing field 'id'"),
+    ("T", ("params", 0, "orbit"), DEL, DatumFormatError, "params[0]: missing field 'orbit'"),
+    ("T", ("params", 0, "local_system"), DEL, DatumFormatError,
+     "params[0]: missing field 'local_system'"),
+    ("T", ("params", 0, "id"), 5, DatumFormatError, _PARAM_STRINGS),
+    ("T", ("params", 0, "orbit"), None, DatumFormatError, _PARAM_STRINGS),
+    ("T", ("params", 0, "local_system"), ["triv"], DatumFormatError, _PARAM_STRINGS),
+    ("T", ("params", "+"), {"id": "p0", "orbit": "0", "local_system": "x"}, DatumFormatError,
+     "params[4]: duplicate parameter id 'p0'"),
+    ("T", ("params", 0, "orbit"), "ghost", DatumFormatError, "params[0]: unknown orbit 'ghost'"),
+    ("T", ("params", "+"), {"id": "px", "orbit": "w", "local_system": "sign"},
+     DatumFormatError, "params[4]: duplicate (orbit, local_system) pair ('w', 'sign')"),
+    # actions, by generator
+    ("T", ("actions",), [], DatumFormatError,
+     "'actions' must be an object keyed by generator index"),
+    ("T", ("actions",), {}, DatumFormatError, "'actions' keys must be exactly ['1'], got []"),
+    ("A2", ("actions", "2"), DEL, DatumFormatError,
+     "'actions' keys must be exactly ['1', '2'], got ['1']"),
+    ("T", ("actions", "2"), {}, DatumFormatError,
+     "'actions' keys must be exactly ['1'], got ['1', '2']"),
+    ("T", ("actions", "1"), [], DatumFormatError,
+     "actions[1] must be an object keyed by parameter"),
+    ("A2", ("actions", "2"), 5, DatumFormatError,
+     "actions[2] must be an object keyed by parameter"),
+    # actions, by parameter
+    ("T", ("actions", "1", "ghost"), {"case": "CompactG"}, DatumFormatError,
+     "actions[1]['ghost']: unknown parameter"),
+    ("T", ("actions", "1", "ghost"), 5, DatumFormatError,
+     "actions[1]['ghost']: unknown parameter"),
+    ("T", ("actions", "1", "p0"), "AscentT", DatumFormatError,
+     "actions[1]['p0']: descriptor must be an object with 'case'"),
+    ("T", ("actions", "1", "p0"), {}, DatumFormatError,
+     "actions[1]['p0']: descriptor must be an object with 'case'"),
+    ("T", ("actions", "1", "p0"), {"case": "Nope"}, DatumFormatError,
+     "actions[1]['p0']: unknown descriptor case 'Nope'"),
+    ("T", ("actions", "1", "p0"), {"case": 5}, DatumFormatError,
+     "actions[1]['p0']: unknown descriptor case 5"),
+    ("T", ("actions", "1", "p0", "cross"), DEL, DatumFormatError,
+     "actions[1]['p0']: descriptor missing field 'cross'"),
+    ("T", ("actions", "1", "p0", "up"), DEL, DatumFormatError,
+     "actions[1]['p0']: descriptor missing field 'up'"),
+    ("T", ("actions", "1", "p0", "cross"), 5, DatumFormatError,
+     "actions[1]['p0']: 'cross' must be a parameter id"),
+    ("T", ("actions", "1", "wt", "downs"), "p0", DatumFormatError,
+     "actions[1]['wt']: 'downs' must list two parameters"),
+    ("T", ("actions", "1", "wt", "downs"), ["p0"], DatumFormatError,
+     "actions[1]['wt']: 'downs' must list two parameters"),
+    ("T", ("actions", "1", "wt", "downs"), ["p0", 5], DatumFormatError,
+     "actions[1]['wt']: 'downs' must list two parameters"),
+    ("T", ("actions", "1", "wt", "downs"), DEL, DatumFormatError,
+     "actions[1]['wt']: descriptor missing field 'downs'"),
+    ("T", ("actions", "1", "p0", "up"), "ghost", DatumFormatError,
+     "actions[1]['p0']: dangling parameter 'ghost'"),
+    ("T", ("actions", "1", "wt", "downs"), ["p0", "ghost"], DatumFormatError,
+     "actions[1]['wt']: dangling parameter 'ghost'"),
+    ("T", ("actions", "1", "p0"), {"case": "AscentN", "ups": ["wt"]}, DatumFormatError,
+     "actions[1]['p0']: 'ups' must list two parameters"),
+    ("T", ("actions", "1", "wt"), {"case": "DescentN", "partner": "ws"}, DatumFormatError,
+     "actions[1]['wt']: descriptor missing field 'down'"),
+    ("A2", ("actions", "1", "1", "down"), DEL, DatumFormatError,
+     "actions[1]['1']: descriptor missing field 'down'"),
+    ("A2", ("actions", "1", "1", "down"), ["e"], DatumFormatError,
+     "actions[1]['1']: 'down' must be a parameter id"),
+    ("A2", ("actions", "2", "e", "up"), "ghost", DatumFormatError,
+     "actions[2]['e']: dangling parameter 'ghost'"),
+    ("T", ("actions", "1", "ws"), {"case": _XR}, DatumFormatError,
+     "actions[1]['ws']: descriptor missing field 'coeffs'"),
+    ("T", ("actions", "1", "ws"), {"case": _XR, "coeffs": []}, DatumFormatError,
+     "actions[1]['ws']: 'coeffs' must be an object"),
+    ("T", ("actions", "1", "ws"), {"case": _XR, "coeffs": {"ghost": "1"}}, DatumFormatError,
+     "actions[1]['ws']: dangling parameter 'ghost'"),
+    ("T", ("actions", "1", "ws"), {"case": _XR, "coeffs": {"ws": 5}}, DatumFormatError,
+     "actions[1]['ws']: polynomial must be a string, got 5"),  # located
+    ("T", ("actions", "1", "ws"), {"case": _XR, "coeffs": {"ws": "x"}}, DatumFormatError,
+     "actions[1]['ws']: cannot parse polynomial 'x' at offset 0"),  # located
+    ("T", ("actions", "1", "ws"), {"case": _XR, "coeffs": {"ws": ""}}, DatumFormatError,
+     "actions[1]['ws']: empty polynomial string"),  # located
+    ("T", ("actions", "1", "ws"), {"case": _XR, "coeffs": {"ws": "q q"}}, DatumFormatError,
+     "actions[1]['ws']: missing sign in polynomial 'q q' at offset 2"),  # located
+    ("T", ("actions", "1", "ws"), DEL, MissingDescriptor,
+     "actions[1]: no descriptor for parameter(s) ws"),
+    ("A2", ("actions", "2", "e"), DEL, MissingDescriptor,
+     "actions[2]: no descriptor for parameter(s) e"),
+    ("A2", ("actions", "1"), {}, MissingDescriptor,
+     "actions[1]: no descriptor for parameter(s) 1, 1.2, 1.2.1, 2, 2.1, e"),
+    # costandard
+    ("T", ("costandard",), [], DatumFormatError,
+     "'costandard' must be an object keyed by parameter"),
+    ("T", ("costandard",), "x", DatumFormatError,
+     "'costandard' must be an object keyed by parameter"),
+    ("T", ("costandard", "ghost"), {}, DatumFormatError,
+     "costandard['ghost']: unknown parameter"),
+    ("T", ("costandard", "ghost"), 5, DatumFormatError,
+     "costandard['ghost']: unknown parameter"),
+    ("T", ("costandard", "p0"), "1", DatumFormatError, "costandard['p0']: must be an object"),
+    ("A2", ("costandard", "1.2"), [], DatumFormatError,
+     "costandard['1.2']: must be an object"),
+    ("T", ("costandard", "wt", "ghost"), "1", DatumFormatError,
+     "costandard['wt']['ghost']: unknown parameter"),
+    ("T", ("costandard", "wt", "ghost"), 5, DatumFormatError,
+     "costandard['wt']['ghost']: unknown parameter"),
+    ("T", ("costandard", "wt", "p0"), 5, DatumFormatError,
+     "costandard['wt']['p0']: polynomial must be a string, got 5"),  # located
+    ("T", ("costandard", "wt", "p0"), "1+", DatumFormatError,
+     "costandard['wt']['p0']: cannot parse polynomial '1+' at offset 1"),  # located
+    ("T", ("costandard", "wt", "p0"), "", DatumFormatError,
+     "costandard['wt']['p0']: empty polynomial string"),  # located
+    ("T", ("costandard", "wt", "p0"), "q^" + _LONG, DatumFormatError,
+     "costandard['wt']['p0']: integer too long in polynomial at offset 0"),  # was ValueError
+    ("A2", ("costandard", "1.2", "e"), None, DatumFormatError,
+     "costandard['1.2']['e']: polynomial must be a string, got None"),  # located
+    ("T", ("costandard", "ws"), DEL, DatumFormatError,
+     "costandard table incomplete; missing column(s) ws"),
+    ("A2", ("costandard", "2"), DEL, DatumFormatError,
+     "costandard table incomplete; missing column(s) 2"),
+    # poincare
+    ("T", ("poincare",), [], DatumFormatError,
+     "'poincare' must be an object keyed by parameter"),
+    ("T", ("poincare", "ghost"), {}, DatumFormatError, "poincare['ghost']: unknown parameter"),
+    ("T", ("poincare", "ghost"), 5, DatumFormatError, "poincare['ghost']: unknown parameter"),
+    ("T", ("poincare", "ws"), 5, DatumFormatError,
+     "poincare['ws']: bad series object 5"),  # located
+    ("T", ("poincare", "ws"), {"num": "1", "den": [1], "x": 1}, DatumFormatError,
+     "poincare['ws']: bad series object {'num': '1', 'den': [1], 'x': 1}"),  # located
+    ("T", ("poincare", "ws"), {"num": 5}, DatumFormatError,
+     "poincare['ws']: polynomial must be a string, got 5"),  # located
+    ("T", ("poincare", "ws"), {"num": "1-"}, DatumFormatError,
+     "poincare['ws']: cannot parse polynomial '1-' at offset 1"),  # located
+    ("T", ("poincare", "ws"), {"den": "1"}, DatumFormatError,
+     "poincare['ws']: bad series denominator '1'"),  # located
+    ("T", ("poincare", "ws"), {"den": [1.5]}, DatumFormatError,
+     "poincare['ws']: bad series denominator [1.5]"),  # located
+    ("T", ("poincare", "ws"), {"den": [0]}, DatumFormatError,
+     "poincare['ws']: denominator exponents must be positive"),  # located
+    ("T", ("poincare", "ws"), DEL, DatumFormatError, "poincare table incomplete; missing ws"),
+    ("A2", ("poincare", "e"), DEL, DatumFormatError, "poincare table incomplete; missing e"),
+]
+
+
+def _mutated_text(base, path, value):
+    if base is None:
+        return value
+    obj = dm.builtin_datum(_BASES[base]).to_jsonable()
+    *parents, key = path
+    target = obj
+    for k in parents:
+        target = target[k]
+    if key == "+":
+        target.append(value)
+    elif value is DEL:
+        del target[key]
+    else:
+        target[key] = value
+    return json.dumps(obj)
+
+
+def _row_id(row):
+    base, path, *_ = row
+    return "text" if base is None else f"{base}:" + ".".join(map(str, path))
+
+
+@pytest.mark.parametrize(
+    "base,path,value,exc_type,message", LOAD_ERRORS, ids=[_row_id(r) for r in LOAD_ERRORS]
+)
+def test_load_error_messages_are_pinned(base, path, value, exc_type, message):
+    with pytest.raises(KlvwbError) as info:
+        dm.load_datum(_mutated_text(base, path, value))
+    assert (type(info.value), str(info.value)) == (exc_type, message)
 
 
 def test_validation_detects_deleted_ascent_row():
