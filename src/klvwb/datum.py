@@ -54,6 +54,15 @@ BUILTIN_NAMES = (
     "sl2-N",
 )
 
+# Ids reach error messages, tables and CSV rows unquoted, so load_datum
+# refuses an orbit or parameter id holding any of these: a comma, a control
+# character (C0, DEL or C1) or a line or paragraph separator, that is each
+# character that splits a CSV field or that str.splitlines splits on.
+_BAD_ID_CHARS = frozenset(
+    [",", "\u2028", "\u2029", *map(chr, range(0x20)), *map(chr, range(0x7F, 0xA0))]
+)
+_BAD_ID = "holds a comma or a control character"
+
 
 @dataclass(frozen=True)
 class OrbitInfo:
@@ -511,6 +520,8 @@ def load_datum(source) -> OrbitDatum:
     for where, (oid, dim, closed) in _records(obj, "orbits", ("id", "dim", "closed")):
         if not isinstance(oid, str):
             raise DatumFormatError(f"{where}: id must be a string")
+        if not _BAD_ID_CHARS.isdisjoint(oid):
+            raise DatumFormatError(f"{where}: id {oid!r} {_BAD_ID}")
         if type(dim) is not int:
             raise DatumFormatError(f"{where}: dim must be an integer")
         if type(closed) is not bool:
@@ -537,6 +548,8 @@ def load_datum(source) -> OrbitDatum:
     for where, (pid, porb, psys) in _records(obj, "params", ("id", "orbit", "local_system")):
         if not all(isinstance(v, str) for v in (pid, porb, psys)):
             raise DatumFormatError(f"{where}: id, orbit and local_system must be strings")
+        if not _BAD_ID_CHARS.isdisjoint(pid):
+            raise DatumFormatError(f"{where}: id {pid!r} {_BAD_ID}")
         if pid in param_by_id:
             raise DatumFormatError(f"{where}: duplicate parameter id {pid!r}")
         if porb not in orbit_by_id:

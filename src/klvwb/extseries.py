@@ -24,12 +24,33 @@ ic_cohomology(tau) pairs the full standard basis against the class of tau:
 sum_eps Q[eps, tau] * pi_eps, read through degree 2m - dim tau.  For a
 clean parameter only the self term survives.
 
+The pairing runs on packed integers, by Kronecker substitution (Harvey,
+"Faster polynomial multiplication via multipoint Kronecker substitution",
+J. Symbolic Comput. 44 (2009)).  A polynomial sum_e c_e q^e becomes the
+integer sum_e c_e 2^(B(e - lo)): its exponents are shifted by lo to be
+nonnegative and q is put to 2^B.  Each bar(P[eps, tau]) is packed with the
+shift lo_left, each Q[eps, gamma] with lo_q, so a product of two packed
+ints is the packed product at the shift lo_left + lo_q, and every weight
+is a sum of such products: one big-integer multiply-add per (eps, gamma).
+
+B is chosen once per datum from an exact bound.  A weight
+sum_eps a_eps b_eps has every coefficient at most sum_eps |a_eps| |b_eps|
+in absolute value, |.| the sum of absolute coefficients, so at most
+max |Q| * sum_eps |P[eps, tau]| for Ext, and sum_eps |Q[eps, tau]| for IC,
+where a_eps = 1.  B is one bit more than the larger of the two bounds over
+every column, so each coefficient c of a weight has |c| < 2^(B-1).  That
+makes the signed base-2^B digits of the weight its coefficients, so the
+weight is decoded into a kernel dict exactly, and two weights are equal
+polynomials iff they are equal integers.  The bound limits the final sums
+only: integers add exactly whatever the order, so the eps order of the
+accumulation does not matter, and partial sums may carry freely.
+
 The full sweep goes one tau-row at a time.  Q is indexed by row once per
-datum, eps -> the (gamma, Q[eps, gamma]) of its row, sharing the
-polynomials of its columns.  For each eps in P[., tau], bar(P[eps, tau]) is taken once and
-multiplied into the weight of every (gamma, slot) that the Q row reaches,
-so one pass accumulates the whole row.  A single pair, and the IC series,
-run the same accumulation restricted to one gamma.
+datum, eps -> the (gamma, packed Q[eps, gamma]) of its row, gamma as its
+basis index.  For each eps in P[., tau], bar(P[eps, tau]) is packed once
+and multiplied into the weight of every (slot, gamma) that the Q row
+reaches, so one pass accumulates the whole row.  A single pair, and the IC
+series, run the same accumulation restricted to one gamma.
 
 When every denominator in the datum's Poincare table is a power of one
 factor (1 - q^a), a slot is a distinct series: the weights that share it
@@ -38,10 +59,16 @@ Reduction then cancels (1 - q^a) as often as it divides, which leaves the
 unique lowest-terms form, so the result does not depend on how the sum was
 built.  Mixed factors make the greedy reduction order-dependent, and there
 a slot is one parameter, so the sum stays a term-by-term fold in basis
-order.  Within a row, the gammas whose nonzero (slot, weight) terms agree
-share one series object, built once, and the ExtSeries of one row share a
-memo, so each distinct (series, offset, window) is expanded and rendered
-once.  Neither the series nor the memo outlives the row.
+order.
+
+Two tables live per datum, in d._cache, so d._cache.clear() frees them.
+The series table maps the nonzero (slot, packed weight) terms of a series,
+in slot order, to its PoincareSeries: each distinct series is decoded,
+multiplied and reduced once per datum, and every pair and IC series with
+those terms shares the object.  The render table maps (series, offset,
+window) to the rendered text and degrees, so each is expanded and rendered
+once per datum.  Packed keys are small: a weight of a few dozen terms is
+one int of a few hundred bits.
 """
 
 from __future__ import annotations
@@ -52,8 +79,8 @@ from . import datum as dm
 from . import hmodule as hm
 from . import klv as klvmod
 from .coxeter import memoized
-from .errors import DatumError
-from .laurent import ONE, LaurentPoly, PoincareSeries, paccum, pbar, render_series
+from .errors import DatumError, DomainError
+from .laurent import LaurentPoly, PoincareSeries, pbar, render_series
 
 
 @dataclass(frozen=True, slots=True)
@@ -62,8 +89,9 @@ class ExtSeries:
 
     Coefficient of q^m is the dimension in cohomological degree
     2m - degree_offset.  gamma is None for intersection-cohomology series.
-    memo is shared by the ExtSeries of one row (see ext_row); a lone
-    series gets its own.
+    memo is the render table of series_row.  The ExtSeries that ext_row,
+    ext_poincare and ic_cohomology return share their datum's table; a
+    series built elsewhere gets its own.
     """
 
     tau: str
@@ -100,16 +128,81 @@ def _q_columns(d: dm.OrbitDatum) -> dict[str, dict[str, dict]]:
     return out
 
 
+def _norm(c: dict) -> int:
+    return sum(map(abs, c.values()))
+
+
+# The widest packed weight _packing accepts, in bits.  A packed int is dense
+# over its exponent span, where a kernel dict holds only its terms: one
+# entry q^1000000 would make every packed Q entry a megabit.  The builtins
+# and hecke-regular G2, C3, D4 and B4 need at most 315 bits (B4: B = 15
+# over 21 exponents).
+MAX_PACKED_BITS = 8192
+
+
 @memoized
-def _q_rows(d: dm.OrbitDatum) -> dict[str, tuple[list[str], list[dict]]]:
-    """{eps: (gammas, Q[eps, gamma] kernel dicts)}, gamma in basis order:
-    the rows of _q_columns, sharing its dicts, in two flat lists."""
-    rows: dict[str, tuple[list[str], list[dict]]] = {}
+def _packing(d: dm.OrbitDatum) -> tuple[int, int, int]:
+    """(B, lo_left, lo_q): the digit width and the two exponent shifts of
+    the packed pairing, from the coefficient bound of the module docstring.
+    lo_left covers every bar(P[eps, tau]) and the constant 1 of the IC
+    pairing, lo_q every Q[eps, gamma].  Raises DomainError when a weight
+    would take more than MAX_PACKED_BITS."""
+    table = klvmod.klv_table(d)
+    p_cols = [table.column(p.id).coords.values() for p in d.basis]
+    q_cols = [col.values() for col in _q_columns(d).values()]
+    ext = max(sum(_norm(c._c) for c in col) for col in p_cols) * max(
+        _norm(c) for col in q_cols for c in col
+    )
+    bits = max(ext, max(sum(map(_norm, col)) for col in q_cols)).bit_length() + 1
+    left = [0, *(-e for col in p_cols for c in col for e in c._c)]
+    right = [e for col in q_cols for c in col for e in c]
+    width = bits * (max(left) - min(left) + max(right) - min(right) + 1)
+    if width > MAX_PACKED_BITS:
+        raise DomainError(
+            f"Ext weights would pack into {width} bits each, more than {MAX_PACKED_BITS}"
+        )
+    return bits, min(left), min(right)
+
+
+def _pack(c: dict, bits: int, lo: int) -> int:
+    """The kernel dict c at q = 2^bits, its exponents shifted by -lo."""
+    return sum(v << bits * (e - lo) for e, v in c.items())
+
+
+def _unpack(n: int, bits: int, lo: int) -> dict:
+    """The kernel dict whose packing at (bits, lo) is n: the signed
+    base-2^bits digits of n, each in [-2^(bits-1), 2^(bits-1))."""
+    out = {}
+    full = 1 << bits
+    half = full >> 1
+    e = lo
+    while n:
+        c = n & (full - 1)
+        if c >= half:
+            c -= full
+        if c:
+            out[e] = c
+        n = (n - c) >> bits
+        e += 1
+    return out
+
+
+@memoized
+def _q_rows(d: dm.OrbitDatum) -> dict[str, tuple[list[int], list[int]]]:
+    """{eps: (basis indices of the gammas, packed Q[eps, gamma])}, gamma in
+    basis order: the rows of _q_columns in two flat lists, equal entries
+    sharing one int."""
+    bits, _, lo = _packing(d)
+    packed: dict[int, int] = {}
+    rows: dict[str, tuple[list[int], list[int]]] = {}
     for gamma, col in _q_columns(d).items():
         for eps, c in col.items():
-            gammas, polys = rows.setdefault(eps, ([], []))
-            gammas.append(gamma)
-            polys.append(c)
+            b = packed.get(id(c))
+            if b is None:
+                b = packed[id(c)] = _pack(c, bits, lo)
+            indices, polys = rows.setdefault(eps, ([], []))
+            indices.append(d.basis_index[gamma])
+            polys.append(b)
     return rows
 
 
@@ -141,36 +234,41 @@ def _slots(d: dm.OrbitDatum) -> tuple[dict[str, int], dict[int, PoincareSeries]]
     return slot, series
 
 
-def _pair(d: dm.OrbitDatum, left: dict, right, gammas) -> list[PoincareSeries]:
-    """For each gamma: sum over eps of left[eps] * b * poincare[eps], over
-    the (gamma, b) pairs in right(eps); left[eps] and b are kernel dicts.
+@memoized
+def _tables(d: dm.OrbitDatum) -> tuple[dict, dict]:
+    """The datum's series table and render table (module docstring).  Unlike
+    other memoized results these two grow as the pairing and series_row
+    fill them."""
+    return {}, {}
 
-    The products are accumulated per (gamma, slot), eps in basis order.
-    Each gamma's nonzero weights are then summed in slot order, each term
-    reduced as it is added; gammas with equal terms share one series."""
+
+def _pair(d: dm.OrbitDatum, left: dict, right, n: int) -> list[PoincareSeries]:
+    """The n series sum over eps of left[eps] * b * poincare[eps], the i-th
+    over the (i, b) pairs in right(eps); left[eps] is packed at lo_left and
+    b at lo_q (_packing).
+
+    The products are accumulated per (slot, i).  Each series' nonzero
+    weights, in slot order, key the series table; a new key is decoded and
+    summed in slot order, each term reduced as it is added."""
     slot, series = _slots(d)
-    index = d.basis_index
-    weights: dict[str, dict[int, dict]] = {}
-    for eps in sorted(left, key=index.__getitem__):
-        a, s = left[eps], slot[eps]
-        for gamma, b in right(eps):
-            per = weights.get(gamma)
-            if per is None:
-                per = weights[gamma] = {}
-            w = per.get(s)
-            if w is None:
-                w = per[s] = {}
-            paccum(w, a, b)
-    built: dict[tuple, PoincareSeries] = {}
+    weights: dict[int, list[int]] = {}
+    for eps, a in left.items():
+        per = weights.get(slot[eps])
+        if per is None:
+            per = weights[slot[eps]] = [0] * n
+        for i, b in right(eps):
+            per[i] += a * b
+    slots = sorted(weights.items())
+    built, _ = _tables(d)
     out = []
-    for gamma in gammas:
-        terms = sorted((s, w) for s, w in weights.get(gamma, {}).items() if w)
-        key = tuple((s, frozenset(w.items())) for s, w in terms)
+    for i in range(n):
+        key = tuple((s, per[i]) for s, per in slots if per[i])
         total = built.get(key)
         if total is None:
+            bits, lo_left, lo_q = _packing(d)
             total = PoincareSeries.zero()
-            for s, w in terms:
-                total = total + series[s] * LaurentPoly._raw(w)
+            for s, w in key:
+                total = total + series[s] * LaurentPoly._raw(_unpack(w, bits, lo_left + lo_q))
             built[key] = total
         out.append(total)
     return out
@@ -182,19 +280,22 @@ def _known(d: dm.OrbitDatum, *pids: str) -> None:
             raise DatumError(f"unknown parameter {pid!r}")
 
 
-def _bar_column(d: dm.OrbitDatum, tau: str) -> dict[str, dict]:
-    return {eps: pbar(p._c) for eps, p in klvmod.klv_table(d).column(tau).coords.items()}
+def _bar_column(d: dm.OrbitDatum, tau: str) -> dict[str, int]:
+    """{eps: bar(P[eps, tau]) packed at lo_left}."""
+    bits, lo, _ = _packing(d)
+    coords = klvmod.klv_table(d).column(tau).coords
+    return {eps: _pack(pbar(p._c), bits, lo) for eps, p in coords.items()}
 
 
 def ext_row(d: dm.OrbitDatum, tau: str) -> list[ExtSeries]:
     """Ext(tau, gamma) for every gamma in basis order, from one pass over
-    P[., tau] and the Q rows; the returned ExtSeries share one memo."""
+    P[., tau] and the Q rows."""
     _known(d, tau)
     rows = _q_rows(d)
-    gammas = [p.id for p in d.basis]
-    totals = _pair(d, _bar_column(d, tau), lambda eps: zip(*rows.get(eps, ((), ()))), gammas)
+    n = len(d.basis)
+    totals = _pair(d, _bar_column(d, tau), lambda eps: zip(*rows.get(eps, ((), ()))), n)
     dim = d.param_by_id[tau].dim
-    memo: dict = {}
+    _, memo = _tables(d)
     return [
         ExtSeries(tau, gamma.id, total, gamma.dim - dim, memo)
         for gamma, total in zip(d.basis, totals)
@@ -206,25 +307,29 @@ def ext_poincare(d: dm.OrbitDatum, tau: str, gamma: str) -> ExtSeries:
     row of ext_row restricted to gamma."""
     _known(d, tau, gamma)
     q_col = _q_columns(d)[gamma]
+    bits, _, lo = _packing(d)
 
     def right(eps):
-        return ((gamma, q_col[eps]),) if eps in q_col else ()
+        return ((0, _pack(q_col[eps], bits, lo)),) if eps in q_col else ()
 
-    (total,) = _pair(d, _bar_column(d, tau), right, [gamma])
+    (total,) = _pair(d, _bar_column(d, tau), right, 1)
     offset = d.param_by_id[gamma].dim - d.param_by_id[tau].dim
-    return ExtSeries(tau=tau, gamma=gamma, series=total, degree_offset=offset)
+    return ExtSeries(tau, gamma, total, offset, _tables(d)[1])
 
 
 def ic_cohomology(d: dm.OrbitDatum, tau: str) -> ExtSeries:
     """Weight series pairing every standard class against the class of tau."""
     _known(d, tau)
     q_col = _q_columns(d)[tau]
+    bits, lo_left, lo = _packing(d)
+    one = _pack({0: 1}, bits, lo_left)
     (total,) = _pair(
-        d, dict.fromkeys(q_col, ONE._c), lambda eps: ((tau, q_col[eps]),), [tau]
+        d,
+        dict.fromkeys(q_col, one),
+        lambda eps: ((0, _pack(q_col[eps], bits, lo)),),
+        1,
     )
-    return ExtSeries(
-        tau=tau, gamma=None, series=total, degree_offset=d.param_by_id[tau].dim
-    )
+    return ExtSeries(tau, None, total, d.param_by_id[tau].dim, _tables(d)[1])
 
 
 def series_row(es: ExtSeries, window: int = 10) -> tuple[str, str, str, str]:

@@ -385,6 +385,15 @@ def _den_poly(factors) -> LaurentPoly:
     return out
 
 
+# The widest span PoincareSeries.expand walks, from the lower end of its
+# window or of its numerator up to hi.  The CLI caps --window at 10,000, and
+# the Ext and IC numerators of the builtins and of hecke-regular G2 and C3
+# start at q^-2 or above, so this leaves room for numerators down to about
+# q^-90000.  A numerator such as q^-1000000000 (a few bytes of JSON) would
+# otherwise take a list of 10^9 coefficients.
+MAX_EXPANSION_SPAN = 100_000
+
+
 class PoincareSeries:
     """num / prod_i (1 - q^{a_i}) with exact arithmetic.
 
@@ -465,10 +474,18 @@ class PoincareSeries:
         Multiplying by 1/(1-q^a) = sum_j q^{aj} is a running sum along each
         residue chain mod a: out[x] = cur[x] + out[x-a], done in place from
         the lowest numerator exponent m up to hi.  The cost is
-        O(#den * (hi - m)), linear in the window for any number of factors.
+        O(#den * (hi - m)), linear in the window for any number of factors,
+        and a window reaching more than MAX_EXPANSION_SPAN exponents below
+        hi, from lo or from m, raises DomainError.
         """
         if hi < lo:
             raise DomainError("empty expansion window")
+        span = hi - min(lo, min(self.num._c, default=lo))
+        if span > MAX_EXPANSION_SPAN:
+            raise DomainError(
+                f"expanding up to q^{hi} would span {span} exponents, "
+                f"more than {MAX_EXPANSION_SPAN}"
+            )
         terms = {e: c for e, c in self.num._c.items() if e <= hi}
         if not self.den or not terms:
             return {e: c for e, c in terms.items() if lo <= e}

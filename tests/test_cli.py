@@ -284,18 +284,35 @@ def test_long_series_quotient_is_refused_in_bounded_memory(tmp_path):
     ]
 
 
+def test_an_id_with_a_newline_gives_one_error_line(tmp_path, capsys):
+    # the id once reached the MissingDescriptor message raw, which printed
+    # a second, forged "klvwb:" line
+    obj = dm.builtin_datum("sl2-T").to_jsonable()
+    obj["params"].append({"id": "x\nklvwb: forged", "orbit": "w", "local_system": "other"})
+    path = tmp_path / "forged.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    code = main(["validate", "--datum", str(path)])
+    line = _assert_one_invalid_datum_line(code, capsys.readouterr())
+    assert line == (
+        "klvwb: invalid datum: params[4]: id 'x\\nklvwb: forged' holds a comma or a "
+        "control character"
+    )
+
+
 # ------------------------------------------------------------ fuzz property
 
 _FUZZ_BASES = {
     name: dm.builtin_datum(name).to_jsonable()
     for name in ("sl2-T", "sl2-N", "hecke-regular:A1", "hecke-regular:A2")
 }
-# wrong types, ids that exist and ids that do not, malformed polynomials and
-# series, and a numerator whose quotient would be long
+# wrong types, ids that exist and ids that do not, ids that would break a
+# line or a CSV field, malformed polynomials and series, and a numerator
+# whose quotient would be long
 _HOSTILE = st.sampled_from([
     None, True, 0, -1, 7, 1.5, 10**30, "", "x", "p0", "e", "1", "w", "q^-1", "1-",
     "1-q^1000000", [], ["p0", "wt"], {}, {"case": "CompactG"}, {"case": "AscentU"},
     {"num": "1", "den": [1]}, {"num": "1-q^1000000", "den": [1]}, {"den": [0]},
+    "x\nklvwb: forged", "p0,wt", "w\r",
 ])
 
 

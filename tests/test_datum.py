@@ -379,6 +379,28 @@ def test_load_error_messages_are_pinned(base, path, value, exc_type, message):
     assert (type(info.value), str(info.value)) == (exc_type, message)
 
 
+@pytest.mark.parametrize(
+    "path,value,where",
+    [
+        (("orbits", 0, "id"), "0,1", "orbits[0]"),
+        (("orbits", 2, "id"), "w\n", "orbits[2]"),
+        (("params", 0, "id"), "p,0", "params[0]"),
+        (("params", 1, "id"), "p\tInf", "params[1]"),
+        (("params", 3, "id"), "ws\u2028", "params[3]"),
+        (("params", 2, "id"), "w\x85t", "params[2]"),
+        (("params", "+"), {"id": "x\nklvwb: forged", "orbit": "w", "local_system": "o"},
+         "params[4]"),
+    ],
+)
+def test_ids_that_could_break_a_line_or_a_field_are_refused(path, value, where):
+    text = _mutated_text("T", path, value)
+    bad = value["id"] if isinstance(value, dict) else value
+    with pytest.raises(DatumFormatError) as info:
+        dm.load_datum(text)
+    assert str(info.value) == f"{where}: id {bad!r} holds a comma or a control character"
+    assert len(str(info.value).splitlines()) == 1
+
+
 def test_validation_detects_deleted_ascent_row():
     d = dm.builtin_datum("sl2-T")
     actions = {0: dict(d.actions[0])}

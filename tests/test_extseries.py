@@ -2,15 +2,23 @@ import functools
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from klvwb import cli
 from klvwb import datum as dm
 from klvwb import extseries as ext
 from klvwb import klv
-from klvwb.errors import DatumError
-from klvwb.laurent import ONE, LaurentPoly, PoincareSeries, parse_poly, render_series
+from klvwb.errors import DatumError, DomainError
+from klvwb.laurent import (
+    ONE,
+    LaurentPoly,
+    PoincareSeries,
+    paccum,
+    parse_poly,
+    pbar,
+    render_series,
+)
 from test_klv import assert_series_parity_matches_the_sweep, single_parity
 
 
@@ -278,7 +286,7 @@ def test_mixed_factor_sweep_rows_equal_single_pairs(tmp_path, capsys):
 
 
 def test_shared_series_keeps_each_offset():
-    # one series object, one row memo, two offsets: each gamma is rendered
+    # one series object, one shared memo, two offsets: each gamma is rendered
     # with its own degrees, whichever comes first
     s = series("q", [1])
     for order in ((0, 1), (1, 0)):
@@ -329,3 +337,116 @@ def test_series_groups_gate():
     mixed = dm.load_datum(obj)
     assert ext._series_groups(mixed) is None
     assert mixed._cache[(ext._series_groups.__wrapped__,)] is None
+
+
+# --- the packed pairing against the kernel fold ----------------------------
+
+
+_kernel = st.dictionaries(st.integers(-8, 8), st.integers(-9, 9).filter(bool), max_size=4)
+
+
+@st.composite
+def _packed_sums(draw):
+    """(B, [(a, b)]): kernel-dict pairs whose fold has every coefficient
+    inside B's signed digit range.  Some pairs are extreme, a coefficient of
+    +-(2^(B-1) - 1) times +-q^f, and some are followed by their negation, so
+    that parts of the sum, or all of it, cancel to zero."""
+    bits = draw(st.integers(2, 80))
+    top = (1 << (bits - 1)) - 1
+    extreme = st.tuples(
+        st.builds(lambda e, s: {e: s * top}, st.integers(-8, 8), st.sampled_from([1, -1])),
+        st.builds(lambda f, s: {f: s}, st.integers(-8, 8), st.sampled_from([1, -1])),
+    )
+    pairs = []
+    for a, b in draw(st.lists(st.one_of(st.tuples(_kernel, _kernel), extreme), max_size=6)):
+        pairs.append((a, b))
+        if draw(st.booleans()):
+            pairs.append(({e: -c for e, c in a.items()}, b))
+    fold: dict = {}
+    for a, b in pairs:
+        paccum(fold, a, b)
+    assume(all(abs(c) <= top for c in fold.values()))
+    return bits, pairs
+
+
+@settings(deadline=None, max_examples=300)
+@given(drawn=_packed_sums())
+def test_packed_multiply_accumulate_unpacks_to_the_kernel_fold(drawn):
+    bits, pairs = drawn
+    lo_a = min((e for a, _ in pairs for e in a), default=0)
+    lo_b = min((e for _, b in pairs for e in b), default=0)
+    acc = 0
+    fold: dict = {}
+    for a, b in pairs:
+        acc += ext._pack(a, bits, lo_a) * ext._pack(b, bits, lo_b)
+        paccum(fold, a, b)
+    assert ext._unpack(acc, bits, lo_a + lo_b) == fold
+
+
+@pytest.mark.parametrize("name", ["hecke-regular:B2", "hecke-regular:A3"])
+def test_packing_width_bounds_every_weight(name):
+    # every Ext and IC weight of the sweep, slot by slot, by the kernel fold
+    d = dm.builtin_datum(name)
+    bits, _, _ = ext._packing(d)
+    slot, _ = ext._slots(d)
+    table = klv.klv_table(d)
+    q_cols = ext._q_columns(d)
+    top = 0
+    for tau in d.basis:
+        p_col = table.column(tau.id).coords
+        for gamma in d.basis:
+            for left, q_col in ((p_col, q_cols[gamma.id]), ({tau.id: ONE}, q_cols[tau.id])):
+                weights: dict = {}
+                for eps, a in left.items():
+                    if eps in q_col:
+                        paccum(weights.setdefault(slot[eps], {}), pbar(a._c), q_col[eps])
+                top = max([top, *(abs(c) for w in weights.values() for c in w.values())])
+    assert 0 < top < 1 << (bits - 1)
+
+
+def test_series_and_renders_are_shared_per_datum():
+    d = dm.builtin_datum("hecke-regular:A3")
+    rows = [ext.ext_row(d, tau.id) for tau in d.basis]
+    ics = [ext.ic_cohomology(d, tau.id) for tau in d.basis]
+    built, renders = ext._tables(d)
+    assert {id(es.memo) for row in rows for es in row} | {id(es.memo) for es in ics} == {
+        id(renders)
+    }
+    owners: dict = {}
+    for i, row in enumerate(rows):
+        for es in row:
+            owners.setdefault(id(es.series), set()).add(i)
+    assert len(owners) <= len(built)
+    assert max(map(len, owners.values())) > 1  # one series object serves several rows
+    for row in rows:
+        for es in row:
+            ext.series_row(es)
+    rendered = len(renders)
+    assert rendered == len({(id(es.series), es.degree_offset) for row in rows for es in row})
+    for row in rows:
+        for es in row:
+            ext.series_row(es)
+    assert len(renders) == rendered
+    d._cache.clear()
+    assert ext._tables(d) == ({}, {})
+
+
+def test_a_weight_too_wide_to_pack_is_refused(tmp_path, capsys):
+    # c = q^-999999 - q^1000000 satisfies c = -q bar(c), so the table passes
+    # costandard-involution, and P[p0, wt] = q^-999999: one packed weight
+    # would take 3 bits for each of 3,000,000 exponents
+    obj = dm.builtin_datum("sl2-T").to_jsonable()
+    obj["costandard"]["wt"]["p0"] = "q^-999999-q^1000000"
+    d = dm.load_datum(obj)
+    assert dm.validate_datum(d).ok
+    with pytest.raises(DomainError, match=f"more than {ext.MAX_PACKED_BITS}"):
+        ext.ext_row(d, "wt")
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    assert cli.main(["ext", "--datum", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "klvwb: invalid datum: Ext weights would pack into 6000000 bits each, "
+        f"more than {ext.MAX_PACKED_BITS}"
+    ]

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from klvwb.errors import DomainError
 from klvwb.laurent import (
+    MAX_EXPANSION_SPAN,
     LaurentPoly,
     PoincareSeries,
     _den_poly,
@@ -326,6 +327,19 @@ def _nested_walk_expand(series, lo, hi):
 def test_expand_matches_nested_walk_oracle(num, den, lo, width):
     s = PoincareSeries(num, den)
     assert s.expand(lo, lo + width) == _nested_walk_expand(s, lo, lo + width)
+
+
+def test_expand_refuses_a_span_past_the_cap():
+    # from q^-1000000000 up to q^10 would be a list of 10^9 coefficients
+    s = PoincareSeries(LaurentPoly({-(10**9): 1}), [1])
+    message = f"span 1000000010 exponents, more than {MAX_EXPANSION_SPAN}"
+    with pytest.raises(DomainError, match=message):
+        s.expand(0, 10)
+    with pytest.raises(DomainError, match="more than"):
+        PoincareSeries.one().expand(-MAX_EXPANSION_SPAN - 1, 0)
+    edge = PoincareSeries(LaurentPoly({-MAX_EXPANSION_SPAN: 1}), [1])
+    assert len(edge.expand(0, 0)) == 1
+    assert PoincareSeries(LaurentPoly({10**9: 1}), [1]).expand(0, 10) == {}
 
 
 def test_expand_cost_is_linear_in_the_window():
