@@ -14,12 +14,25 @@ upward from the closed orbits through U- and T-ascents, the only situations
 where duality is forced.  Parameters that no such chain reaches (cuspidal
 local systems, and both partners of an N-ascent) make the table
 underivable and duality-dependent operations raise MissingCostandard.
+The derivation keeps the first candidate for each parameter, so the table
+is compatible at that ascent's (src, s) by construction; another candidate
+agrees with it iff the table is compatible at its own (src, s).
 
 ascent_sources indexes those U- and T-ascents by target; the derivation
 above and the self-dual basis solver both read it.  Every table here is
 built once per datum, through coxeter.memoized.
-compatibility_problems tests beta(T_s m) = bar(T_s) beta(m) on every basis
-vector, the law the solver's ascent recursion rests on.
+
+compatibility_problems tests beta(T_s m) = bar(T_s) beta(m), the law the
+solver's ascent recursion rests on, by ascent induction.  Take an s-ascent
+row T_s m_src = m_up + sum of m_o, and let the quadratic relation
+T_s^2 = (q - 1) T_s + q hold on every m_p; then
+bar(T_s)^2 = (q^-1 - 1) bar(T_s) + q^-1 holds too.  If compatibility holds
+at (src, s) and at every (o, s), both sides at (up, s) reduce to
+bar(T_s)^2 beta(m_src) - sum of bar(T_s) beta(m_o), so it holds at
+(up, s).  Behind a clean quadratic_problems, then, only the (p, s) that no
+such row induces are summed, nor the (src, s) a derived table was built
+from; on any failure every (p, s) is.
+
 unitriangular_coords is the one top-down back substitution: klv expands
 C_w . L_tau in the self-dual basis with it, extseries rewrites that basis
 in the costandard one.
@@ -35,6 +48,9 @@ from .laurent import ONE, Combination, LaurentPoly, pbar, pmonmul, pneg, render_
 
 _QINV = LaurentPoly.monomial(1, -1)
 _QINV_MINUS_1 = _QINV - ONE
+# kernel dicts of 1 - q and -q, for the quadratic relation
+_ONE_MINUS_Q = {0: 1, 1: -1}
+_MINUS_Q = {1: -1}
 
 
 class ModuleVector(Combination):
@@ -75,7 +91,8 @@ def basis_vector(d: dm.OrbitDatum, pid: str) -> ModuleVector:
 
 
 class ActionTable:
-    """Per simple reflection, the sparse column form of the T_s action."""
+    """Per simple reflection, the sparse column form of the T_s action, and
+    in bar_columns that of bar(T_s)."""
 
     def __init__(self, d: dm.OrbitDatum):
         self.datum = d
@@ -88,14 +105,21 @@ class ActionTable:
                     raise DatumError(f"no descriptor for ({p.id}, s{s + 1})")
                 cols[p.id] = desc.column(p.id)
             self.columns[s] = cols
+        self.bar_columns = {s: _bar_ts_columns(cols) for s, cols in self.columns.items()}
 
     def apply(self, s: int, v: ModuleVector) -> ModuleVector:
         """T_s . v"""
+        raw = self.apply_terms(s, {pid: c._c for pid, c in v.terms.items()})
+        return ModuleVector._raw(self.datum, raw)
+
+    def apply_terms(self, s: int, terms: dict) -> dict:
+        """T_s . v on kernel dicts: terms and the result map parameter ids
+        to kernel dicts."""
         cols = self.columns[s]
         out: dict[str, dict] = {}
-        for pid, c in v.terms.items():
-            vaccum(out, c._c, cols[pid])
-        return ModuleVector._raw(self.datum, out)
+        for pid, c in terms.items():
+            vaccum(out, c, cols[pid])
+        return out
 
     def apply_word(self, word, v: ModuleVector) -> ModuleVector:
         """T_w . v for w given by a reduced word (leftmost letter outermost)."""
@@ -116,11 +140,6 @@ def ts_matrix(d: dm.OrbitDatum) -> ActionTable:
     return build_action_table(d)
 
 
-def _bar_ts_apply(table: ActionTable, s: int, v: ModuleVector) -> ModuleVector:
-    """bar(T_s) . v = q^-1 T_s v + (q^-1 - 1) v."""
-    return table.apply(s, v).scale(_QINV) + v.scale(_QINV_MINUS_1)
-
-
 @memoized
 def ascent_sources(d: dm.OrbitDatum) -> dict[str, list[tuple[int, str, tuple[str, ...]]]]:
     """{up: [(s, src, others)]} over every U- or T-ascent row, s-major and
@@ -137,55 +156,91 @@ def ascent_sources(d: dm.OrbitDatum) -> dict[str, list[tuple[int, str, tuple[str
 
 
 @memoized
+def quadratic_problems(d: dm.OrbitDatum) -> list[str]:
+    """Where (T_s + 1)(T_s - q) m_p != 0, s-major and then in d.params
+    order: T_s^2 m_p - (q - 1) T_s m_p - q m_p summed on kernel dicts."""
+    table = build_action_table(d)
+    problems = []
+    for s, cols in table.columns.items():
+        for p in d.params:
+            column = cols[p.id]
+            acc: dict[str, dict] = {}
+            for t, a in column:
+                vaccum(acc, a._c, cols[t])
+            vaccum(acc, _ONE_MINUS_Q, column)
+            vaccum(acc, _MINUS_Q, ((p.id, ONE),))
+            if acc:
+                problems.append(f"(T+1)(T-q) != 0 at (s{s + 1}, {p.id})")
+    return problems
+
+
+@memoized
 def costandard_table(d: dm.OrbitDatum):
     """(table, origin): column gamma holds the m-expansion of n_gamma.
 
     origin is 'given' when the datum carries the table, 'derived' when it
     was reconstructed by ascent propagation.  Raises MissingCostandard when
     neither is possible, DatumError if propagation is inconsistent.
+    A clean _induction_holds proves the kept candidates consistent (see
+    the module docstring); otherwise every candidate is compared.
     """
     if d.costandard is not None:
         return {col: dict(rows) for col, rows in d.costandard.items()}, "given"
-
-    table = build_action_table(d)
-    sources = ascent_sources(d)
-    beta_cols: dict[str, ModuleVector] = {}
-    for p in d.basis:
-        if d.orbit_by_id[p.orbit].closed:
-            beta_cols[p.id] = ModuleVector(d, {p.id: LaurentPoly.monomial(1, -p.dim)})
-
-    # propagate duality through U/T ascents, level by level in dim
-    for p in d.basis:
-        if p.id in beta_cols:
-            continue
-        candidates = []
-        for s, src, others in sources.get(p.id, ()):
-            if not all(x in beta_cols for x in (src, *others)):
-                continue
-            v = _bar_ts_apply(table, s, beta_cols[src])
-            for o in others:
-                v = v - beta_cols[o]
-            candidates.append(v)
-        if candidates:
-            first = candidates[0]
-            for other in candidates[1:]:
-                if other != first:
-                    raise DatumError(
-                        f"duality propagation inconsistent at parameter {p.id}"
-                    )
-            beta_cols[p.id] = first
-
-    missing = [p.id for p in d.basis if p.id not in beta_cols]
+    derived, _ = _propagate(d, False)
+    if len(derived) < len(d.basis) or not _induction_holds(d):
+        # an inconsistency is reported before a missing column
+        _propagate(d, True)
+    missing = [p.id for p in d.basis if p.id not in derived]
     if missing:
         raise MissingCostandard(
             "costandard table absent and not derivable for parameter(s): "
             + ", ".join(missing)
         )
-    derived = {}
-    for p in d.basis:
-        col = beta_cols[p.id].scale(LaurentPoly.monomial(1, p.dim))
-        derived[p.id] = dict(col.coords)
     return derived, "derived"
+
+
+@memoized
+def _propagate(d: dm.OrbitDatum, every: bool):
+    """(columns, taken): n_p for every parameter the ascents reach, in basis
+    order, and the (src, s) each was taken from.  Closed orbits give
+    n_p = m_p; then, in basis order, an ascent T_s m_src = m_p + sum of m_o
+    from known columns forces beta(m_p) = bar(T_s) beta(m_src) - sum of
+    beta(m_o).  The first such candidate is kept; with every, the others
+    are computed too, and DatumError is raised where one disagrees.
+    """
+    table = build_action_table(d)
+    sources = ascent_sources(d)
+    cols = {p.id: {p.id: ONE} for p in d.basis if d.orbit_by_id[p.orbit].closed}
+    taken = set()
+    for p in d.basis:
+        if p.id in cols:
+            continue
+        rows = [r for r in sources.get(p.id, ()) if all(x in cols for x in (r[1], *r[2]))]
+        if not rows:
+            continue
+        col = _candidate(d, table, cols, p, *rows[0])
+        for row in rows[1:] if every else ():
+            if _candidate(d, table, cols, p, *row) != col:
+                raise DatumError(f"duality propagation inconsistent at parameter {p.id}")
+        cols[p.id] = {r: LaurentPoly._raw(c) for r, c in col.items()}
+        taken.add((rows[0][1], rows[0][0]))
+    return {p.id: cols[p.id] for p in d.basis if p.id in cols}, taken
+
+
+def _candidate(d, table: ActionTable, cols, p, s: int, src: str, others) -> dict:
+    """q^dim(p) (bar(T_s) beta(m_src) - sum of beta(m_o)) on kernel dicts;
+    the summing order, q^-1 T_s, (q^-1 - 1), each -m_o, fixes the key order."""
+    dims = d.param_by_id
+    shift = p.dim - dims[src].dim
+    source = cols[src].items()
+    acc: dict[str, dict] = {}
+    for r, c in source:
+        vaccum(acc, pmonmul(c._c, 1, shift - 1), table.columns[s][r])
+    for r, c in source:
+        vaccum(acc, pmonmul(c._c, 1, shift), ((r, _QINV_MINUS_1),))
+    for o in others:
+        vaccum(acc, {p.dim - dims[o].dim: -1}, cols[o].items())
+    return acc
 
 
 def beta(x: ModuleVector, d: dm.OrbitDatum) -> ModuleVector:
@@ -207,28 +262,69 @@ def compatibility_problems(d: dm.OrbitDatum) -> dict[str, list[str]]:
     (T_s + 1) maps a vector fixed by beta up to q^-k to one fixed up to
     q^-(k+1).  It also makes beta^2, which is then Z[q, q^-1]-linear,
     commute with every T_s, so datum._check_costandard need test beta^2 = id
-    only where no ascent generates the module.  Both sides are taken times
-    q^dim(p) and summed on kernel dicts: with T_s m_p = sum_t a_t m_t,
-    bar(T_s) n_p minus sum_t bar(a_t) q^(dim p - dim t) n_t.
+    only where no ascent generates the module.
+
+    Unless _induction_holds certifies every list empty, each (p, s) is
+    summed by _defect, so the lists are the same either way.
     """
     table = build_action_table(d)
     cols, _ = costandard_table(d)
-    dims = d.param_by_id
-    bar_ts = {s: _bar_ts_columns(table.columns[s]) for s in range(d.coxeter.rank)}
-    problems = {}
+    problems: dict[str, list[str]] = {p.id: [] for p in d.params}
+    if _induction_holds(d):
+        return problems
     for p in d.params:
-        problems[p.id] = []
         for s in range(d.coxeter.rank):
-            acc: dict[str, dict] = {}
-            for r, c in cols[p.id].items():
-                vaccum(acc, c._c, bar_ts[s][r])
-            for t, a in table.columns[s][p.id]:
-                vaccum(acc, pmonmul(pbar(a._c), -1, p.dim - dims[t].dim), cols[t].items())
-            if acc:
+            if _defect(d, table, cols, s, p):
                 problems[p.id].append(
                     f"beta(T{s + 1} m[{p.id}]) != bar(T{s + 1}) beta(m[{p.id}])"
                 )
     return problems
+
+
+@memoized
+def _induction_holds(d: dm.OrbitDatum) -> bool:
+    """Compatibility at every (p, s), by the ascent induction of the module
+    docstring behind a clean quadratic_problems.  _defect is summed at every
+    (p, s) but an (up, s) that a row induces from a src and others no
+    s-ascent row targets, so that its premises are summed or taken, and a
+    (src, s) that _propagate took for a derived table, which holds by
+    construction.
+    """
+    if quadratic_problems(d):
+        return False
+    if d.costandard is None:
+        cols, skip = _propagate(d, False)
+    else:
+        cols, skip = d.costandard, set()
+    sources = ascent_sources(d)
+    ups = {(up, s) for up, rows in sources.items() for s, _, _ in rows}
+    skip = skip | {
+        (up, s)
+        for up, rows in sources.items()
+        for s, src, others in rows
+        if not any((x, s) in ups for x in (src, *others))
+    }
+    table = build_action_table(d)
+    return not any(
+        _defect(d, table, cols, s, p)
+        for s in range(d.coxeter.rank)
+        for p in d.params
+        if (p.id, s) not in skip
+    )
+
+
+def _defect(d, table: ActionTable, cols, s: int, p) -> dict:
+    """q^dim(p) (bar(T_s) beta(m_p) - beta(T_s m_p)) on kernel dicts: with
+    T_s m_p = sum_t a_t m_t, bar(T_s) n_p minus sum_t bar(a_t)
+    q^(dim p - dim t) n_t.  Empty iff compatibility holds at (p, s)."""
+    dims = d.param_by_id
+    bar = table.bar_columns[s]
+    acc: dict[str, dict] = {}
+    for r, c in cols[p.id].items():
+        vaccum(acc, c._c, bar[r])
+    for t, a in table.columns[s][p.id]:
+        vaccum(acc, pmonmul(pbar(a._c), -1, p.dim - dims[t].dim), cols[t].items())
+    return acc
 
 
 def _bar_ts_columns(columns) -> dict[str, list]:

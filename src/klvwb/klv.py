@@ -84,21 +84,24 @@ def klv_table(d: dm.OrbitDatum) -> KLVTable:
     """Solve for the self-dual basis, processing parameters by (dim, id).
 
     Column delta is seeded by the first U- or T-ascent (s, delta') to it, in
-    hmodule.ascent_sources order: v = (T_s + 1) L_delta'.  beta(T_s m) =
-    bar(T_s) beta(m) on every m makes beta(v) = q^-(dim delta' + 1) v.  When
-    v is m_delta plus lower terms, the m_delta coefficients of the two sides
-    force dim delta = dim delta' + 1, so no separate twist test is needed,
-    and v is self-dual with the twist of delta.  The residue
+    hmodule.ascent_sources order: v = (T_s + 1) L_delta'.  The
+    compatibility law beta(T_s m) = bar(T_s) beta(m) makes
+    beta(v) = q^-(dim delta' + 1) v.  When v is m_delta plus lower terms,
+    the m_delta coefficients of the two sides force dim delta =
+    dim delta' + 1, so no separate twist test is needed, and v is self-dual
+    with the twist of delta.  The residue
     v - L_delta is a self-dual combination of the lower L_gamma, so each
     coefficient c_gamma is symmetric, c_j = c_(gap - j) for gap =
     dim delta - dim gamma, while P[gamma, delta] lives in degrees up to
     (gap - 1)//2: the entries above that degree determine c_gamma, and
     c_gamma . L_gamma is subtracted, gamma from the top down.
 
-    The recursion needs that compatibility law, which validate_datum leaves
-    untested, so it runs only when hmodule.compatibility_problems finds
-    none.  Columns without a seed, every column of a datum that fails the
-    law, and a seed whose top entry is not 1 . m_delta take _beta_column.
+    The recursion needs that law on the whole module.  validate_datum does
+    not gate on it, so the recursion runs only when
+    hmodule.compatibility_problems, which certifies it by ascent induction
+    from a few (p, s) and sums every (p, s) only on a failure, finds none.
+    Columns without a seed, every column of a datum that fails the law, and
+    a seed whose top entry is not 1 . m_delta take _beta_column.
     """
     dm.ensure_valid(d)
     compatible = not any(hm.compatibility_problems(d).values())
@@ -172,7 +175,8 @@ def _beta_column(d: dm.OrbitDatum, columns, delta) -> hm.ModuleVector:
 def verify_klv_table(table: KLVTable, d: dm.OrbitDatum) -> list[str]:
     """Independent re-check of the defining contract; empty list means pass.
 
-    When hmodule.compatibility_problems is clean, a column reached by a U- or
+    When hmodule.compatibility_problems is clean (the law holds on the whole
+    module; see hmodule on its ascent induction), a column reached by a U- or
     T-ascent from a column already certified is certified by
     _ascent_certifies, which needs no beta; every other column, and one
     that check does not certify, is checked with the dense beta.  A
@@ -379,7 +383,9 @@ def expansion_row(
 def _wgraph_steps(sys: CoxeterSystem) -> list:
     """For each element w of sys, in elements() order: None when l(w) <= 1,
     else (s, index of s w, [(index of z, mu(z, s w), (l(w) - l(z))/2)] over
-    the z with sz < z), for the first left descent s of w."""
+    the z with sz < z), for the first left descent s of w.  A nonzero
+    mu(z, s w) needs l(s w) - l(z) odd, so l(w) - l(z) is even; DomainError
+    is raised where it is not, as q^h would take a half-integer h."""
     els = sys.elements()
     mus = kl_basis(sys).mus
     steps = []
@@ -389,11 +395,13 @@ def _wgraph_steps(sys: CoxeterSystem) -> list:
             continue
         s = next(t for t in range(sys.rank) if w.has_left_descent(t))
         prev = sys.index(sys.generator(s) * w)
-        edges = [
-            (z, mu, (w.length - els[z].length) // 2)
-            for z, mu in mus[prev]
-            if els[z].has_left_descent(s)
-        ]
+        edges = []
+        for z, mu in mus[prev]:
+            if els[z].has_left_descent(s):
+                gap = w.length - els[z].length
+                if gap % 2:
+                    raise DomainError(f"W-graph edge mu({z}, {prev}) spans odd length gap {gap}")
+                edges.append((z, mu, gap // 2))
         steps.append((s, prev, edges))
     return steps
 

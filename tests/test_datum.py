@@ -11,10 +11,11 @@ from klvwb.errors import (
     DatumError,
     DatumFormatError,
     KlvwbError,
+    MissingCostandard,
     MissingDescriptor,
     UnsupportedType,
 )
-from klvwb.laurent import ONE, parse_poly, render_poly
+from klvwb.laurent import ONE, Q, LaurentPoly, parse_poly, render_poly
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -592,7 +593,16 @@ def test_hecke_regular_other_types_validate():
 
 def _dense_costandard_check(d):
     """costandard-involution with beta^2 = id tested on every basis vector."""
-    table, origin = hm.costandard_table(d)
+    try:
+        table, origin = hm.costandard_table(d)
+    except MissingCostandard as exc:
+        return dm.CheckResult(
+            "costandard-involution",
+            True,
+            f"costandard absent and not derivable ({exc}); duality operations disabled",
+        )
+    except DatumError as exc:
+        return dm.CheckResult("costandard-involution", False, str(exc))
     problems = []
     for col, rows in table.items():
         if rows.get(col) != ONE:
@@ -608,6 +618,12 @@ def _dense_costandard_check(d):
     return dm.CheckResult.of("costandard-involution", problems, f"table {origin}")
 
 
+def _bar_ts_apply(table, s, v):
+    """bar(T_s) . v = q^-1 T_s v + (q^-1 - 1) v, on ModuleVectors."""
+    qinv = LaurentPoly.monomial(1, -1)
+    return table.apply(s, v).scale(qinv) + v.scale(qinv - ONE)
+
+
 def _dense_compatibility_problems(d):
     """The T_s-compatibility gate on ModuleVectors, one beta per side."""
     table = hm.build_action_table(d)
@@ -618,9 +634,92 @@ def _dense_compatibility_problems(d):
         problems[p.id] = [
             f"beta(T{s + 1} m[{p.id}]) != bar(T{s + 1}) beta(m[{p.id}])"
             for s in range(d.coxeter.rank)
-            if hm.beta(table.apply(s, v), d) != hm._bar_ts_apply(table, s, bv)
+            if hm.beta(table.apply(s, v), d) != _bar_ts_apply(table, s, bv)
         ]
     return problems
+
+
+def _dense_derivation(d):
+    """The costandard derivation on ModuleVectors, every candidate compared:
+    the oracle of the derived path of hmodule.costandard_table."""
+    table = hm.build_action_table(d)
+    sources = hm.ascent_sources(d)
+    beta_cols = {}
+    for p in d.basis:
+        if d.orbit_by_id[p.orbit].closed:
+            beta_cols[p.id] = hm.ModuleVector(d, {p.id: LaurentPoly.monomial(1, -p.dim)})
+    for p in d.basis:
+        if p.id in beta_cols:
+            continue
+        candidates = []
+        for s, src, others in sources.get(p.id, ()):
+            if all(x in beta_cols for x in (src, *others)):
+                v = _bar_ts_apply(table, s, beta_cols[src])
+                for o in others:
+                    v = v - beta_cols[o]
+                candidates.append(v)
+        if candidates:
+            if any(other != candidates[0] for other in candidates[1:]):
+                raise DatumError(f"duality propagation inconsistent at parameter {p.id}")
+            beta_cols[p.id] = candidates[0]
+    missing = [p.id for p in d.basis if p.id not in beta_cols]
+    if missing:
+        raise MissingCostandard(
+            "costandard table absent and not derivable for parameter(s): " + ", ".join(missing)
+        )
+    return {
+        p.id: dict(beta_cols[p.id].scale(LaurentPoly.monomial(1, p.dim)).coords)
+        for p in d.basis
+    }
+
+
+def assert_derivation_matches_the_dense_one(d):
+    """The derived costandard table equals _dense_derivation's, in column
+    and row order too, or both raise the same error."""
+    want = _outcome(_dense_derivation, d)
+    got = _outcome(hm.costandard_table, d)
+    if isinstance(want, dict):
+        table, origin = got
+        assert origin == "derived"
+        assert [(c, list(r.items())) for c, r in table.items()] == [
+            (c, list(r.items())) for c, r in want.items()
+        ]
+    else:
+        assert got == want
+
+
+def _dense_quadratic_and_braid(d):
+    """validate_datum checks (3) and (4) on ModuleVectors."""
+    table = hm.build_action_table(d)
+    rank = d.coxeter.rank
+    quadratic, braid = [], []
+    for s in range(rank):
+        for p in d.params:
+            v = hm.basis_vector(d, p.id)
+            tsv = table.apply(s, v)
+            if table.apply(s, tsv) != tsv.scale(Q - ONE) + v.scale(Q):
+                quadratic.append(f"(T+1)(T-q) != 0 at (s{s + 1}, {p.id})")
+    for s in range(rank):
+        for t in range(s + 1, rank):
+            for p in d.params:
+                left = right = hm.basis_vector(d, p.id)
+                for k in range(d.coxeter.coxeter_m(s, t)):
+                    left = table.apply(s if k % 2 == 0 else t, left)
+                    right = table.apply(t if k % 2 == 0 else s, right)
+                if left != right:
+                    braid.append(f"braid (s{s + 1}, s{t + 1}) fails at {p.id}")
+    return [
+        dm.CheckResult.of("quadratic-relation", quadratic),
+        dm.CheckResult.of("braid-relations", braid),
+    ]
+
+
+def _outcome(fn, d):
+    """fn(d), or the type and message of the KlvwbError it raises."""
+    try:
+        return fn(d)
+    except KlvwbError as exc:
+        return type(exc), str(exc)
 
 
 @st.composite
@@ -647,6 +746,49 @@ def test_costandard_check_and_gate_agree_with_the_dense_ones(obj):
     # a fresh datum, so the gate is not already memoized
     d = dm.load_datum(obj)
     assert dm._check_costandard(d) == _dense_costandard_check(d)
+
+
+@st.composite
+def _action_perturbations(draw):
+    """A builtin's dump with one action row changed, so that the quadratic
+    relation, the braid relations or the links may fail: the row rewritten
+    as an ExplicitRow with one coefficient replaced, or swapped with the row
+    of another parameter.  The costandard table is kept or dropped."""
+    name = draw(st.sampled_from(
+        ["sl2-T", "sl2-N", "hecke-regular:A1", "hecke-regular:A2", "hecke-regular:B2"]
+    ))
+    d = dm.builtin_datum(name)
+    obj = d.to_jsonable()
+    s = draw(st.sampled_from(sorted(obj["actions"])))
+    rows = obj["actions"][s]
+    pids = sorted(rows)
+    pid, other = draw(st.sampled_from(pids)), draw(st.sampled_from(pids))
+    if draw(st.booleans()):
+        column = hm.build_action_table(d).apply(int(s) - 1, hm.basis_vector(d, pid))
+        coeffs = {t: render_poly(c) for t, c in column.coords.items()}
+        coeffs[other] = draw(st.sampled_from(["0", "1", "-1", "2", "q", "-1+q", "-2+q", "q^2"]))
+        rows[pid] = {"case": "ExplicitRow", "coeffs": coeffs}
+    else:
+        rows[pid], rows[other] = rows[other], rows[pid]
+    if draw(st.booleans()):
+        del obj["costandard"]
+    return obj
+
+
+@settings(deadline=None, max_examples=150)
+@given(obj=_action_perturbations())
+def test_gate_and_costandard_check_agree_with_the_dense_ones_on_faulty_actions(obj):
+    d = dm.load_datum(obj)
+    if "costandard" not in obj:
+        assert_derivation_matches_the_dense_one(d)
+    assert _outcome(hm.compatibility_problems, d) == _outcome(_dense_compatibility_problems, d)
+    # a fresh datum, so the gate is not already memoized
+    d = dm.load_datum(obj)
+    assert dm._check_costandard(d) == _dense_costandard_check(d)
+    checks = {c.name: c for c in dm.validate_datum(d).checks}
+    assert [checks["quadratic-relation"], checks["braid-relations"]] == (
+        _dense_quadratic_and_braid(d)
+    )
 
 
 def test_planted_non_target_costandard_entry_fails():

@@ -6,8 +6,10 @@ import pytest
 from klvwb import datum as dm
 from klvwb import hecke
 from klvwb import hmodule as hm
+from klvwb.cli import main
 from klvwb.errors import DatumError, MissingCostandard, SystemMismatch
 from klvwb.laurent import ONE, LaurentPoly, parse_poly
+from test_datum import assert_derivation_matches_the_dense_one
 
 
 def vec(d, spec):
@@ -145,6 +147,56 @@ def test_costandard_derivation_matches_hecke_inversion():
     assert derived == table
 
 
+def _relabelled(obj, rng):
+    """obj with fresh parameter ids, so a new basis order, and every list
+    and table of the file shuffled."""
+    pids = [p["id"] for p in obj["params"]]
+    names = dict(zip(pids, (f"x{n}" for n in rng.sample(range(len(pids)), len(pids)))))
+
+    def renamed(field, value):
+        if field == "case":
+            return value
+        if field == "coeffs":
+            return {names[pid]: c for pid, c in value.items()}
+        return [names[v] for v in value] if isinstance(value, list) else names[value]
+
+    def shuffled(items):
+        items = list(items)
+        rng.shuffle(items)
+        return items
+
+    obj["orbits"] = shuffled(obj["orbits"])
+    obj["params"] = shuffled({**p, "id": names[p["id"]]} for p in obj["params"])
+    obj["actions"] = {
+        s: {
+            names[pid]: {f: renamed(f, v) for f, v in desc.items()}
+            for pid, desc in shuffled(rows.items())
+        }
+        for s, rows in obj["actions"].items()
+    }
+    obj["poincare"] = {names[pid]: v for pid, v in shuffled(obj["poincare"].items())}
+    return obj
+
+
+_HR = [f"hecke-regular:{t}" for t in ("A1", "A2", "B2", "G2", "A3", "C3", "D4")]
+
+
+@pytest.mark.parametrize(
+    "name, seed",
+    [(name, None) for name in ["sl2-T", "sl2-N", *_HR]]
+    + [(name, seed) for name in _HR[1:-1] for seed in (1, 2)]
+    + [(_HR[-1], 1)],
+)
+def test_derived_costandard_matches_the_dense_propagation(name, seed):
+    # every column and every row in the same order as the ModuleVector
+    # propagation: the non-lower term lines of costandard-involution follow it
+    obj = dm.builtin_datum(name).to_jsonable()
+    del obj["costandard"]
+    if seed is not None:
+        obj = _relabelled(obj, random.Random(seed))
+    assert_derivation_matches_the_dense_one(dm.load_datum(json.dumps(obj)))
+
+
 def test_ascent_sources_index_u_and_t_ascents_by_target():
     assert hm.ascent_sources(dm.builtin_datum("sl2-T")) == {
         "wt": [(0, "p0", ("pInf",)), (0, "pInf", ("p0",))]
@@ -163,6 +215,35 @@ def test_costandard_derivation_rejects_disagreeing_sources():
     next(o for o in obj["orbits"] if o["id"] == "inf")["dim"] = 1
     with pytest.raises(DatumError, match="^duality propagation inconsistent at parameter wt$"):
         hm.costandard_table(dm.load_datum(json.dumps(obj)))
+
+
+def test_costandard_derivation_rejects_a_late_disagreeing_source(tmp_path):
+    # w0 of A3 has three U-ascent sources; marking the orbit of the third
+    # closed makes it force another n[w0], while the first two agree
+    obj = dm.builtin_datum("hecke-regular:A3").to_jsonable()
+    del obj["costandard"]
+    next(o for o in obj["orbits"] if o["id"] == "1.2.1.3.2")["closed"] = True
+    d = dm.load_datum(json.dumps(obj))
+    assert [src for _, src, _ in hm.ascent_sources(d)["1.2.1.3.2.1"]] == [
+        "2.1.3.2.1", "1.2.3.2.1", "1.2.1.3.2"
+    ]
+    message = "duality propagation inconsistent at parameter 1.2.1.3.2.1"
+    with pytest.raises(DatumError, match=f"^{message}$"):
+        hm.costandard_table(d)
+    path, out = tmp_path / "a3.json", tmp_path / "out.csv"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    assert main(["validate", "--datum", str(path), "--format", "csv", "--out", str(out)]) == 1
+    assert out.read_text(encoding="utf-8") == (
+        "status,check,detail\n"
+        "PASS,thm-order-reachability,\n"
+        "PASS,sstar-monotone,\n"
+        "PASS,quadratic-relation,\n"
+        "PASS,braid-relations,\n"
+        "PASS,link-mirroring,\n"
+        f"FAIL,costandard-involution,{message}\n"
+        "FAIL,dim-closure-consistency,closed orbit 1.2.1.3.2 is not minimal (above e)\n"
+        "PASS,poincare-normalization,\n"
+    )
 
 
 def test_costandard_underivable_without_table():

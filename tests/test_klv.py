@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from klvwb import checks
+from klvwb import coxeter
 from klvwb import datum as dm
 from klvwb import extseries
 from klvwb import hecke
@@ -518,6 +519,17 @@ def test_series_parity_matches_the_sweep(name, derived):
         d = dm.load_datum(obj)
     assert hm.costandard_table(d)[1] == ("derived" if derived else "given")
     assert_series_parity_matches_the_sweep(d)
+
+
+def test_wgraph_steps_refuse_an_odd_length_gap():
+    # a nonzero mu(z, w') needs l(w') - l(z) odd; plant mu(s1, s2), whose
+    # gap is even, so that the step of w = s1 s2 would take q^(1/2)
+    sys = coxeter.build_system("A2")
+    s1, s2 = (sys.index(sys.generator(s)) for s in range(2))
+    hecke.kl_basis(sys).mus[s2].append((s1, 1))
+    message = rf"^W-graph edge mu\({s1}, {s2}\) spans odd length gap 1$"
+    with pytest.raises(DomainError, match=message):
+        klv._wgraph_steps(sys)
 
 
 def test_check_builds_no_ext_series(monkeypatch):
