@@ -11,6 +11,10 @@ The selfdual-basis stability test, positivity and the integer-powers half
 of parity all read klv.expansion_report: one pass over C_w . L_tau, one
 tau at a time, made by whichever of them asks first and memoized as
 problem lines and a count, so no suite walks or keeps the expansions.
+Stability and integer powers are certified from the identity and
+generator expansions, which the W-graph rule carries to every w; the pass
+itself then only counts and tests signs, on packed integers.  Where the
+certificate fails, every (w, tau) is tested, with the same lines.
 
 The series-parity half of parity builds no Ext or IC series.  Their
 single parity holds by construction once P, the costandard table and the
@@ -98,7 +102,8 @@ def _selfdual_suite(d: dm.OrbitDatum) -> dm.CheckResult:
         # basis, they make the dense test beta(C_w L_tau) q^(l(w)+dim tau)
         # == C_w L_tau hold iff, for every gamma,
         # bar(c_gamma) q^(l(w)+dim tau-dim gamma) == c_gamma, which
-        # klv.expansion_report tests on every (w, tau).
+        # klv.expansion_report certifies from the generator expansions, and
+        # tests on every (w, tau) where that certificate fails.
         problems = list(klvmod.expansion_report(d).not_self_dual)
     return dm.CheckResult.of("selfdual-basis", problems, f"{len(d.params)} columns verified")
 

@@ -199,23 +199,32 @@ class CoxeterSystem:
         self._lengths = tuple(x.length for x in order)
 
     def leq_bruhat(self, x: "CoxElt", y: "CoxElt") -> bool:
-        """Bruhat order via the standard descent recursion."""
+        """Bruhat order via the standard descent recursion: with s the first
+        right descent of y, x <= y iff xs <= ys when s is a right descent of
+        x, else x <= ys.  It runs on element indices through right_mul and
+        lengths, memoized by index pair, so no CoxElt is built per step."""
         _same_system(x, y)
-        if x.length > y.length:
-            return False
-        if x.perm == y.perm:
-            return True
-        key = (x.perm, y.perm)
+        lengths, right = self.lengths, self.right_mul
+        i, j = self.index(x), self.index(y)
         memo = self._leq_memo
-        if key in memo:
-            return memo[key]
-        s = next(t for t in range(self.rank) if y.has_right_descent(t))
-        ys = y.mul_gen(s)
-        if x.has_right_descent(s):
-            out = self.leq_bruhat(x.mul_gen(s), ys)
-        else:
-            out = self.leq_bruhat(x, ys)
-        memo[key] = out
+        path = []
+        while True:
+            if lengths[i] > lengths[j]:
+                out = False
+                break
+            if i == j:
+                out = True
+                break
+            out = memo.get((i, j))
+            if out is not None:
+                break
+            path.append((i, j))
+            s = next(t for t in range(self.rank) if lengths[right[t][j]] < lengths[j])
+            if lengths[right[s][i]] < lengths[i]:
+                i = right[s][i]
+            j = right[s][j]
+        for key in path:
+            memo[key] = out
         return out
 
 

@@ -36,14 +36,15 @@ is a sum of such products: one big-integer multiply-add per (eps, gamma).
 B is chosen once per datum from an exact bound.  A weight
 sum_eps a_eps b_eps has every coefficient at most sum_eps |a_eps| |b_eps|
 in absolute value, |.| the sum of absolute coefficients, so at most
-max |Q| * sum_eps |P[eps, tau]| for Ext, and sum_eps |Q[eps, tau]| for IC,
-where a_eps = 1.  B is one bit more than the larger of the two bounds over
-every column, so each coefficient c of a weight has |c| < 2^(B-1).  That
-makes the signed base-2^B digits of the weight its coefficients, so the
-weight is decoded into a kernel dict exactly, and two weights are equal
-polynomials iff they are equal integers.  The bound limits the final sums
-only: integers add exactly whatever the order, so the eps order of the
-accumulation does not matter, and partial sums may carry freely.
+sum_eps |P[eps, tau]| max_gamma |Q[eps, gamma]| for Ext, and
+sum_eps |Q[eps, tau]| for IC, where a_eps = 1.  B is one bit more than the
+larger of the two bounds over every tau, so each coefficient c of a weight
+has |c| < 2^(B-1).  That makes the signed base-2^B digits of the weight its
+coefficients (laurent.punpack), so the weight is decoded into a kernel dict
+exactly, and two weights are equal polynomials iff they are equal integers.
+The bound limits the final sums only: integers add exactly whatever the
+order, so the eps order of the accumulation does not matter, and partial
+sums may carry freely.
 
 The full sweep goes one tau-row at a time.  Q is indexed by row once per
 datum, eps -> the (gamma, packed Q[eps, gamma]) of its row, gamma as its
@@ -80,7 +81,16 @@ from . import hmodule as hm
 from . import klv as klvmod
 from .coxeter import memoized
 from .errors import DatumError, DomainError
-from .laurent import LaurentPoly, PoincareSeries, pbar, render_series
+from .laurent import (
+    MAX_PACKED_BITS,
+    LaurentPoly,
+    PoincareSeries,
+    pbar,
+    pnorm,
+    ppack,
+    punpack,
+    render_series,
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -128,18 +138,6 @@ def _q_columns(d: dm.OrbitDatum) -> dict[str, dict[str, dict]]:
     return out
 
 
-def _norm(c: dict) -> int:
-    return sum(map(abs, c.values()))
-
-
-# The widest packed weight _packing accepts, in bits.  A packed int is dense
-# over its exponent span, where a kernel dict holds only its terms: one
-# entry q^1000000 would make every packed Q entry a megabit.  The builtins
-# and hecke-regular G2, C3, D4 and B4 need at most 315 bits (B4: B = 15
-# over 21 exponents).
-MAX_PACKED_BITS = 8192
-
-
 @memoized
 def _packing(d: dm.OrbitDatum) -> tuple[int, int, int]:
     """(B, lo_left, lo_q): the digit width and the two exponent shifts of
@@ -148,43 +146,23 @@ def _packing(d: dm.OrbitDatum) -> tuple[int, int, int]:
     pairing, lo_q every Q[eps, gamma].  Raises DomainError when a weight
     would take more than MAX_PACKED_BITS."""
     table = klvmod.klv_table(d)
-    p_cols = [table.column(p.id).coords.values() for p in d.basis]
-    q_cols = [col.values() for col in _q_columns(d).values()]
-    ext = max(sum(_norm(c._c) for c in col) for col in p_cols) * max(
-        _norm(c) for col in q_cols for c in col
-    )
-    bits = max(ext, max(sum(map(_norm, col)) for col in q_cols)).bit_length() + 1
-    left = [0, *(-e for col in p_cols for c in col for e in c._c)]
-    right = [e for col in q_cols for c in col for e in c]
+    p_cols = [table.column(p.id).coords for p in d.basis]
+    q_cols = _q_columns(d).values()
+    row_max: dict[str, int] = {}
+    for col in q_cols:
+        for eps, c in col.items():
+            row_max[eps] = max(row_max.get(eps, 0), pnorm(c))
+    ext = max(sum(pnorm(c._c) * row_max.get(eps, 0) for eps, c in col.items()) for col in p_cols)
+    ic = max(sum(map(pnorm, col.values())) for col in q_cols)
+    bits = max(ext, ic).bit_length() + 1
+    left = [0, *(-e for col in p_cols for c in col.values() for e in c._c)]
+    right = [e for col in q_cols for c in col.values() for e in c]
     width = bits * (max(left) - min(left) + max(right) - min(right) + 1)
     if width > MAX_PACKED_BITS:
         raise DomainError(
             f"Ext weights would pack into {width} bits each, more than {MAX_PACKED_BITS}"
         )
     return bits, min(left), min(right)
-
-
-def _pack(c: dict, bits: int, lo: int) -> int:
-    """The kernel dict c at q = 2^bits, its exponents shifted by -lo."""
-    return sum(v << bits * (e - lo) for e, v in c.items())
-
-
-def _unpack(n: int, bits: int, lo: int) -> dict:
-    """The kernel dict whose packing at (bits, lo) is n: the signed
-    base-2^bits digits of n, each in [-2^(bits-1), 2^(bits-1))."""
-    out = {}
-    full = 1 << bits
-    half = full >> 1
-    e = lo
-    while n:
-        c = n & (full - 1)
-        if c >= half:
-            c -= full
-        if c:
-            out[e] = c
-        n = (n - c) >> bits
-        e += 1
-    return out
 
 
 @memoized
@@ -199,7 +177,7 @@ def _q_rows(d: dm.OrbitDatum) -> dict[str, tuple[list[int], list[int]]]:
         for eps, c in col.items():
             b = packed.get(id(c))
             if b is None:
-                b = packed[id(c)] = _pack(c, bits, lo)
+                b = packed[id(c)] = ppack(c, bits, lo)
             indices, polys = rows.setdefault(eps, ([], []))
             indices.append(d.basis_index[gamma])
             polys.append(b)
@@ -268,7 +246,7 @@ def _pair(d: dm.OrbitDatum, left: dict, right, n: int) -> list[PoincareSeries]:
             bits, lo_left, lo_q = _packing(d)
             total = PoincareSeries.zero()
             for s, w in key:
-                total = total + series[s] * LaurentPoly._raw(_unpack(w, bits, lo_left + lo_q))
+                total = total + series[s] * LaurentPoly._raw(punpack(w, bits, lo_left + lo_q))
             built[key] = total
         out.append(total)
     return out
@@ -284,7 +262,7 @@ def _bar_column(d: dm.OrbitDatum, tau: str) -> dict[str, int]:
     """{eps: bar(P[eps, tau]) packed at lo_left}."""
     bits, lo, _ = _packing(d)
     coords = klvmod.klv_table(d).column(tau).coords
-    return {eps: _pack(pbar(p._c), bits, lo) for eps, p in coords.items()}
+    return {eps: ppack(pbar(p._c), bits, lo) for eps, p in coords.items()}
 
 
 def ext_row(d: dm.OrbitDatum, tau: str) -> list[ExtSeries]:
@@ -310,7 +288,7 @@ def ext_poincare(d: dm.OrbitDatum, tau: str, gamma: str) -> ExtSeries:
     bits, _, lo = _packing(d)
 
     def right(eps):
-        return ((0, _pack(q_col[eps], bits, lo)),) if eps in q_col else ()
+        return ((0, ppack(q_col[eps], bits, lo)),) if eps in q_col else ()
 
     (total,) = _pair(d, _bar_column(d, tau), right, 1)
     offset = d.param_by_id[gamma].dim - d.param_by_id[tau].dim
@@ -322,11 +300,11 @@ def ic_cohomology(d: dm.OrbitDatum, tau: str) -> ExtSeries:
     _known(d, tau)
     q_col = _q_columns(d)[tau]
     bits, lo_left, lo = _packing(d)
-    one = _pack({0: 1}, bits, lo_left)
+    one = ppack({0: 1}, bits, lo_left)
     (total,) = _pair(
         d,
         dict.fromkeys(q_col, one),
-        lambda eps: ((0, _pack(q_col[eps], bits, lo)),),
+        lambda eps: ((0, ppack(q_col[eps], bits, lo)),),
         1,
     )
     return ExtSeries(tau, None, total, d.param_by_id[tau].dim, _tables(d)[1])

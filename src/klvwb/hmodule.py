@@ -382,8 +382,10 @@ def t_matrix_columns(d: dm.OrbitDatum, w: CoxElt) -> dict[str, ModuleVector]:
 def c_matrix_columns(d: dm.OrbitDatum, w: CoxElt) -> dict[str, ModuleVector]:
     """Columns of the C_w action: sum of P_{x,w} T_x columns.
 
-    klv._dense_expand reads these for the identity and the generators only;
-    longer elements follow from them by the W-graph recursion."""
+    The dense reference for C_w . L_tau: the check path reads none of
+    them, since klv._dense_expand takes C_s = T_s + 1 through the sparse
+    action table, but the tests compare the expansions with them, and the
+    perfbench tracer spans them."""
     cw = kl_basis(d.coxeter).c(w)
     sums: dict[str, dict[str, dict]] = {p.id: {} for p in d.params}
     for x, poly in cw.terms.items():

@@ -29,12 +29,18 @@ w' = s w,
     C_s C_w' = C_w + sum_{z < w', sz < z} mu(z, w') q^{(l(w)-l(z))/2} C_z,
 
 an identity in the Hecke algebra and so in every datum's module.  Only the
-identity and the generators are expanded from their dense C_w columns
-(exact unitriangular back substitution, no division), and only those
+identity and the generators are expanded directly, C_s L_tau =
+(T_s + 1) L_tau through the sparse action table and an exact unitriangular
+back substitution (no division, no dense C_w column), and only those
 (rank + 1) * |params| expansions are memoized per datum.  expansion_row
 reads every longer w off the shorter expansions of the same tau and the mu
-lists of hecke.kl_basis, one tau at a time; expansion_report makes one
-such pass for the check suites and keeps only their problem lines.
+lists of hecke.kl_basis, one tau at a time, on kernel dicts; c_expansion
+reads it.
+
+expansion_report makes one such pass for the check suites and keeps only
+their problem lines.  The rule carries stability and integer exponents up
+from the identity and generator expansions, so it tests them there only,
+and then runs the pass on Kronecker-packed integers (laurent.ppack).
 """
 
 from __future__ import annotations
@@ -46,7 +52,16 @@ from . import hmodule as hm
 from .coxeter import CoxElt, CoxeterSystem, memoized
 from .errors import DatumError, DomainError, NonGeometricDatum
 from .hecke import kl_basis
-from .laurent import ONE, LaurentPoly, paccum_scaled, render_poly, vaccum
+from .laurent import (
+    MAX_PACKED_BITS,
+    ONE,
+    LaurentPoly,
+    paccum_scaled,
+    pnorm,
+    ppack,
+    render_poly,
+    vaccum,
+)
 
 # bounds the dense correction steps of a _beta_column, the columns the
 # ascent recursion does not seed
@@ -410,17 +425,23 @@ def _wgraph_steps(sys: CoxeterSystem) -> list:
 def _dense_expand(d: dm.OrbitDatum, w: CoxElt, tau: str) -> dict[str, LaurentPoly]:
     """C_w . L_tau for l(w) <= 1, keyed in descending basis order.
 
-    C_w acts through its dense column matrix in the standard basis, and the
-    product is solved back through the unitriangular table, highest
-    position first; no division occurs.  Only the datum's descriptors say
-    how C_s acts, so these (rank + 1) * |params| expansions are where the
-    W-graph recursion of expansion_row starts, and the only ones memoized.
+    The identity gives {tau: 1}.  A generator gives
+    C_s L_tau = (T_s + 1) L_tau: T_s acts through the sparse columns of the
+    action table, L_tau is added, and the sum is solved back through the
+    unitriangular table, highest position first; no division occurs and no
+    dense C_w column is built.  Only the datum's descriptors say how C_s
+    acts, so these (rank + 1) * |params| expansions are where the W-graph
+    recursion of expansion_row starts, and the only ones memoized.
     """
     table = klv_table(d)
-    residual = hm.matrix_apply(hm.c_matrix_columns(d, w), table.column(tau))
-    # matrix_apply hands back freshly built coefficient dicts, so the
-    # residual is reduced in place through them
-    acc = {pid: c._c for pid, c in residual.terms.items()}
+    if w.length == 0:
+        return {tau: ONE}
+    (s,) = d.coxeter.reduced_word(w)
+    column = table.column(tau).terms
+    # apply_terms hands back freshly built coefficient dicts, so the sum is
+    # reduced in place through them
+    acc = hm.build_action_table(d).apply_terms(s, {pid: c._c for pid, c in column.items()})
+    vaccum(acc, ONE._c, column.items())
     return hm.unitriangular_coords(d, acc, lambda pid: table.columns[pid].terms)
 
 
@@ -438,17 +459,164 @@ class ExpansionReport:
 
 @memoized
 def expansion_report(d: dm.OrbitDatum) -> ExpansionReport:
-    """One pass over expansion_row(d, tau) for each tau, each row dropped
+    """One pass over every C_w . L_tau, one tau at a time, each row dropped
     once read, feeding the selfdual-basis stability test, positivity and
     the expansion half of integer-powers.
 
     Stability of C_w L_tau = sum_gamma c_gamma L_gamma is, with
     k = l(w) + dim tau - dim gamma, bar(c_gamma) q^k == c_gamma for every
-    gamma (see checks._selfdual_suite).  e -> k - e is an involution, so
-    that holds iff c_gamma has coefficient v at k - e for every term v q^e.
+    gamma (see checks._selfdual_suite).  When _base_certifies it and
+    integer exponents for every w, and _packing finds a width, the pass
+    only counts and tests signs, on packed integers (_packed_report).
+    Otherwise the kernel-dict pass tests every (w, tau) (_kernel_report),
+    so every problem line is the same either way.
     """
     sys = d.coxeter
     els = sys.elements()
+    # the expansions expansion_row starts from, by element index
+    base = {
+        i: {p.id: _dense_expand(d, els[i], p.id) for p in d.params}
+        for i, step in enumerate(_wgraph_steps(sys))
+        if step is None
+    }
+    packing = _packing(d, base) if _base_certifies(d, base) else None
+    if packing is None:
+        count, unstable, negative, non_integer = _kernel_report(d)
+    else:
+        count, negative = _packed_report(d, base, *packing)
+        unstable = non_integer = []
+
+    def token(i):
+        return sys.element_token(els[i])
+
+    return ExpansionReport(
+        count,
+        tuple(
+            f"C[{token(i)}] L[{d.params[j].id}] not self-dual" for i, j in sorted(unstable)
+        ),
+        tuple(
+            f"c[{token(i)},{d.params[j].id},{gamma}] has a negative coefficient"
+            for i, j, _, gamma in sorted(negative)
+        ),
+        tuple(
+            f"c[{token(i)},{d.params[j].id},{gamma}] has non-integer powers"
+            for i, j, _, gamma in sorted(non_integer)
+        ),
+    )
+
+
+def _base_certifies(d: dm.OrbitDatum, base) -> bool:
+    """Whether every identity and generator expansion is stable and has
+    integer exponents; then every C_w . L_tau is.
+
+    expansion_row builds E[w] = sum_gamma E[w']_gamma E[s][gamma] minus
+    the terms mu q^h E[z].  A product of entries stable with twists
+    k(w', tau, gamma) and k(s, gamma, gamma') is stable with their sum,
+    k(w, tau, gamma'); q^h, h = (l(w) - l(z))/2, turns the twist of z into
+    that of w; and entries stable with one twist add to one.  _wgraph_steps
+    makes every h an integer, so integer exponents are carried up alike.
+    """
+    lengths = d.coxeter.lengths
+    dims = {p.id: p.dim for p in d.params}
+    for i, per in base.items():
+        for tau, expansion in per.items():
+            k0 = lengths[i] + dims[tau]
+            for gamma, c in expansion.items():
+                c, k = c._c, k0 - dims[gamma]
+                if not _integral(c) or any(c.get(k - e) != v for e, v in c.items()):
+                    return False
+    return True
+
+
+def _packing(d: dm.OrbitDatum, base) -> tuple[int, int] | None:
+    """(B, digits) for the packed pass over stable expansions, or None
+    where it cannot run: a base exponent is negative, a dim is not an
+    integer, or an entry would take more than MAX_PACKED_BITS.
+
+    With nonnegative base exponents every exponent of E[w] is nonnegative,
+    and stability puts it at most k <= l(w0) + max dim - min dim, so an
+    entry has that many digits plus one.  b[w] bounds the sum of absolute
+    coefficients of any E[w][tau]: for l(w) <= 1 it is read off, and along
+    expansion_row's step b[w] = b[w'] b[s] + sum |mu| b[z].  B is one bit
+    past the largest b[w], so every coefficient c has |c| < 2^(B-1).
+    """
+    dims = [p.dim for p in d.params]
+    if not all(isinstance(dim, int) for dim in dims) or any(
+        e < 0 for per in base.values() for exp in per.values() for c in exp.values() for e in c._c
+    ):
+        return None
+    sys = d.coxeter
+    gens = [sys.index(sys.generator(s)) for s in range(sys.rank)]
+    bound = [0] * sys.order()
+    for i, step in enumerate(_wgraph_steps(sys)):
+        if step is None:
+            norms = (sum(pnorm(c._c) for c in exp.values()) for exp in base[i].values())
+            bound[i] = max(norms, default=0)
+        else:
+            s, prev, edges = step
+            bound[i] = bound[prev] * bound[gens[s]] + sum(abs(mu) * bound[z] for z, mu, _ in edges)
+    bits = max(bound).bit_length() + 1
+    digits = sys.lengths[-1] + max(dims, default=0) - min(dims, default=0) + 1
+    return (bits, digits) if bits * digits <= MAX_PACKED_BITS else None
+
+
+def _packed_report(d: dm.OrbitDatum, base, bits: int, digits: int) -> tuple[int, list]:
+    """(count, negative) of expansion_report on packed integers.
+
+    Every entry of E[w] is packed at q = 2^bits with no exponent shift
+    (_packing), so expansion_row's step is one big-integer multiply-add
+    per term, and q^h a shift by bits * h.  An entry is nonzero iff its
+    polynomial is.  It has a negative coefficient iff it is negative or
+    has the top bit of one of its digits set: below its lowest negative
+    coefficient c every digit is a coefficient in [0, 2^(bits-1)), so
+    nothing carries into the digit of c, which reads 2^bits + c >=
+    2^(bits-1).  No entry is decoded.
+    """
+    sys = d.coxeter
+    index = d.basis_index
+    steps = _wgraph_steps(sys)
+    gens = [sys.index(sys.generator(s)) for s in range(sys.rank)]
+    high = sum(1 << (bits * e + bits - 1) for e in range(digits))
+    packed = {
+        i: {
+            tau: {gamma: ppack(c._c, bits, 0) for gamma, c in expansion.items()}
+            for tau, expansion in per.items()
+        }
+        for i, per in base.items()
+    }
+    count = 0
+    negative = []
+    for j, p in enumerate(d.params):
+        row: list[dict] = []
+        for i, step in enumerate(steps):
+            if step is None:
+                entries = packed[i][p.id]
+            else:
+                s, prev, edges = step
+                col_s = packed[gens[s]]
+                acc: dict[str, int] = {}
+                for gamma, v in row[prev].items():
+                    for g, x in col_s[gamma].items():
+                        acc[g] = acc.get(g, 0) + v * x
+                for z, mu, h in edges:
+                    shift = bits * h
+                    for gamma, v in row[z].items():
+                        acc[gamma] = acc.get(gamma, 0) - mu * (v << shift)
+                entries = {gamma: v for gamma, v in acc.items() if v}
+            row.append(entries)
+            count += len(entries)
+            for gamma, v in entries.items():
+                if v < 0 or v & high:
+                    negative.append((i, j, -index[gamma], gamma))
+    return count, negative
+
+
+def _kernel_report(d: dm.OrbitDatum) -> tuple[int, list, list, list]:
+    """(count, unstable, negative, non_integer) of expansion_report, from
+    expansion_row on kernel dicts, every (w, tau) tested.  e -> k - e is an
+    involution, so stability holds iff c_gamma has coefficient v at k - e
+    for every term v q^e."""
+    els = d.coxeter.elements()
     index = d.basis_index
     dims = {p.id: p.dim for p in d.params}
     count = 0
@@ -468,24 +636,7 @@ def expansion_report(d: dm.OrbitDatum) -> ExpansionReport:
                     negative.append((i, j, -index[gamma], gamma))
                 if not _integral(c):
                     non_integer.append((i, j, -index[gamma], gamma))
-
-    def token(i):
-        return sys.element_token(els[i])
-
-    return ExpansionReport(
-        count,
-        tuple(
-            f"C[{token(i)}] L[{d.params[j].id}] not self-dual" for i, j in sorted(unstable)
-        ),
-        tuple(
-            f"c[{token(i)},{d.params[j].id},{gamma}] has a negative coefficient"
-            for i, j, _, gamma in sorted(negative)
-        ),
-        tuple(
-            f"c[{token(i)},{d.params[j].id},{gamma}] has non-integer powers"
-            for i, j, _, gamma in sorted(non_integer)
-        ),
-    )
+    return count, unstable, negative, non_integer
 
 
 def is_clean(table: KLVTable, tau: str) -> bool:

@@ -12,6 +12,14 @@ paccum_scaled, accumulates into its first argument in place.  vaccum lifts
 paccum to combinations: acc += c * column over {key: kernel dict} maps, the
 one accumulate loop of the hecke, hmodule and klv inner loops.
 
+ppack and punpack are the Kronecker substitution (Harvey, "Faster
+polynomial multiplication via multipoint Kronecker substitution", J.
+Symbolic Comput. 44 (2009)): a kernel dict at q = 2^B is one integer, so a
+product of polynomials is one big-integer multiply.  While every
+coefficient c of a result has |c| < 2^(B-1), its signed base-2^B digits are
+its coefficients.  The Ext pairing and the C_w . L_tau pass of klv both run
+on them, under the common width cap MAX_PACKED_BITS.
+
 Combination is a finite Z[q, q^-1]-combination of keys over one owner,
 with its arithmetic on the kernel dicts; hecke.HeckeElt (the Hecke algebra
 on its T_w basis) and hmodule.ModuleVector (a datum's module on its m_gamma
@@ -70,6 +78,11 @@ def pbar(a):
     return {-e: c for e, c in a.items()}
 
 
+def pnorm(a):
+    """The sum of the absolute coefficients of a."""
+    return sum(map(abs, a.values()))
+
+
 def pmonmul(a, coeff, shift):
     """coeff * q**shift * a, for an integer scalar coeff."""
     if not coeff:
@@ -113,6 +126,38 @@ def vaccum(acc, c, column):
         paccum(a, c, e._c)
         if not a:
             del acc[key]
+
+
+# The widest packed int that ppack callers accept, in bits.  A packed int is
+# dense over its exponent span, where a kernel dict holds only its terms: one
+# entry q^1000000 would make every packed entry a megabit.  The Ext pairing
+# of the builtins and of hecke-regular G2, C3, D4 and B4 needs at most 294
+# bits (B4: B = 14 over 21 exponents), the C_w . L_tau pass of klv 1,716 at
+# B4 (B = 52 over 33 exponents) and 5,194 at F4 (B = 106 over 49).
+MAX_PACKED_BITS = 8192
+
+
+def ppack(c, bits, lo):
+    """The kernel dict c at q = 2^bits, its exponents shifted by -lo."""
+    return sum(v << bits * (e - lo) for e, v in c.items())
+
+
+def punpack(n, bits, lo):
+    """The kernel dict whose packing at (bits, lo) is n: the signed
+    base-2^bits digits of n, each in [-2^(bits-1), 2^(bits-1))."""
+    out = {}
+    full = 1 << bits
+    half = full >> 1
+    e = lo
+    while n:
+        c = n & (full - 1)
+        if c >= half:
+            c -= full
+        if c:
+            out[e] = c
+        n = (n - c) >> bits
+        e += 1
+    return out
 
 
 class LaurentPoly:

@@ -17,6 +17,8 @@ from klvwb.laurent import (
     paccum,
     parse_poly,
     pbar,
+    ppack,
+    punpack,
     render_series,
 )
 from test_klv import assert_series_parity_matches_the_sweep, single_parity
@@ -378,9 +380,9 @@ def test_packed_multiply_accumulate_unpacks_to_the_kernel_fold(drawn):
     acc = 0
     fold: dict = {}
     for a, b in pairs:
-        acc += ext._pack(a, bits, lo_a) * ext._pack(b, bits, lo_b)
+        acc += ppack(a, bits, lo_a) * ppack(b, bits, lo_b)
         paccum(fold, a, b)
-    assert ext._unpack(acc, bits, lo_a + lo_b) == fold
+    assert punpack(acc, bits, lo_a + lo_b) == fold
 
 
 @pytest.mark.parametrize("name", ["hecke-regular:B2", "hecke-regular:A3"])

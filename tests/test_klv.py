@@ -2,6 +2,7 @@ import json
 import random
 import re
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -253,6 +254,22 @@ def _assert_matches_dense(d, pairs):
         )
 
 
+@pytest.mark.parametrize("name", ["sl2-T", "sl2-N", "hecke-regular:A3", "hecke-regular:C3"])
+def test_generator_expansions_match_the_dense_columns(name):
+    # (T_s + 1) L_tau through the action table against the dense C_s columns,
+    # solved back through the table the way _dense_expand solved them
+    d = dm.builtin_datum(name)
+    sys = d.coxeter
+    table = klv.klv_table(d)
+    for w in (sys.identity, *(sys.generator(s) for s in range(sys.rank))):
+        for p in d.params:
+            residual = hm.matrix_apply(hm.c_matrix_columns(d, w), table.column(p.id))
+            acc = {pid: c._c for pid, c in residual.terms.items()}
+            expected = hm.unitriangular_coords(d, acc, lambda pid: table.columns[pid].terms)
+            got = klv._dense_expand(d, w, p.id)
+            assert list(got.items()) == list(expected.items()), (sys.element_token(w), p.id)
+
+
 @pytest.mark.parametrize(
     "name", [*dm.BUILTIN_NAMES, "hecke-regular:G2", "hecke-regular:C3"]
 )
@@ -390,6 +407,118 @@ def test_planted_expansion_faults_match_the_three_walks(monkeypatch, name):
         assert len(pairs) >= 2, result
 
 
+def _planting(faults):
+    """_dense_expand with integer terms added: faults maps (reduced word of
+    w, tau) to {gamma: {exponent: coefficient}}; terms that cancel drop."""
+    dense = klv._dense_expand
+
+    def planted(d, w, tau):
+        out = dense(d, w, tau)
+        extra = faults.get((d.coxeter.reduced_word(w), tau))
+        if extra is None:
+            return out
+        out = dict(out)
+        for gamma, terms in extra.items():
+            c = dict(out[gamma]._c) if gamma in out else {}
+            for e, v in terms.items():
+                c[e] = c.get(e, 0) + v
+            c = {e: v for e, v in c.items() if v}
+            if c:
+                out[gamma] = LaurentPoly._raw(c)
+            else:
+                out.pop(gamma, None)
+        return out
+
+    return planted
+
+
+def _report_and_path(d, faults):
+    """The three suites' results from expansion_report with faults planted
+    (_planting), their oracle, and whether the packed pass ran."""
+    ran = []
+    packed = klv._packed_report
+
+    def spy(*args):
+        ran.append(True)
+        return packed(*args)
+
+    with (
+        mock.patch.object(klv, "_dense_expand", _planting(faults)),
+        mock.patch.object(klv, "_packed_report", spy),
+    ):
+        got = (checks._selfdual_suite(d), checks._positivity_suite(d), klv.parity_check(d).checks[0])
+        expected = _expansion_suites_oracle(d)
+    return got, expected, bool(ran)
+
+
+_GENERATOR_FAULT_DATUMS = ["sl2-T", "sl2-N", "hecke-regular:A2", "hecke-regular:B2"]
+
+
+@settings(deadline=None, max_examples=80)
+@given(data=st.data())
+def test_packed_pass_matches_the_three_walks_on_planted_generator_faults(data):
+    # coefficients -3..3 at exponents 0..k, k = 1 + dim tau - dim gamma, in
+    # C_s L_tau.  Mirrored to k - e, a term keeps stability and the packed
+    # pass runs; one unmirrored nonzero term breaks it and the kernel pass runs.
+    d = dm.builtin_datum(data.draw(st.sampled_from(_GENERATOR_FAULT_DATUMS)))
+    dims = {p.id: p.dim for p in d.params}
+    mirrored = data.draw(st.booleans())
+    faults: dict = {}
+    for n in range(data.draw(st.integers(1, 3))):
+        unmirrored = n == 0 and not mirrored
+        s = data.draw(st.integers(0, d.coxeter.rank - 1))
+        tau = data.draw(st.sampled_from(sorted(dims)))
+        # the one unmirrored term is nonzero and off the centre, so k >= 1
+        top = dims[tau] + (not unmirrored)
+        gamma = data.draw(st.sampled_from(sorted(g for g in dims if dims[g] <= top)))
+        k = 1 + dims[tau] - dims[gamma]
+        if unmirrored:
+            e = data.draw(st.sampled_from([e for e in range(k + 1) if 2 * e != k]))
+            v = data.draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))
+        else:
+            e = data.draw(st.integers(0, k))
+            v = data.draw(st.integers(-3, 3))
+        terms = faults.setdefault(((s,), tau), {}).setdefault(gamma, {})
+        terms[e] = terms.get(e, 0) + v
+        if not unmirrored and 2 * e != k:
+            terms[k - e] = terms.get(k - e, 0) + v
+    got, expected, packed = _report_and_path(d, faults)
+    assert got == expected
+    assert packed == mirrored
+
+
+@pytest.mark.parametrize(
+    "terms, detail",
+    [
+        ({0: 1, 1: -3, 2: 1}, "c[1,wt,p0] has a negative coefficient"),
+        ({1: 5}, "8 coefficients checked"),
+    ],
+)
+def test_packed_signs_at_the_digit_limits(terms, detail):
+    # C_s L_wt of sl2-T is (1 + q) L_wt, and its p0 entry has k = 2.  With
+    # 1 - 3q + q^2 there, the entry packs to a positive int, and only the
+    # top bit of its q^1 digit shows the -3.  With 5q, one coefficient is 5
+    # of the column's bound 7, so it needs the spare bit of B = 4.
+    d = dm.builtin_datum("sl2-T")
+    got, expected, packed = _report_and_path(d, {((0,), "wt"): {"p0": terms}})
+    assert packed and got == expected
+    assert got[1].detail == detail
+
+
+@pytest.mark.parametrize("name", _GENERATOR_FAULT_DATUMS)
+def test_a_packed_pass_too_wide_falls_back_to_the_kernel_pass(monkeypatch, name):
+    # expansion_report is memoized per datum, so each run gets its own
+    wide, narrow = dm.builtin_datum(name), dm.builtin_datum(name)
+    tau = wide.basis[0].id
+    # -1 - q in C_s L_tau at tau, where k = 1: negative and still stable
+    faults = {((0,), tau): {tau: {0: -1, 1: -1}}}
+    assert _report_and_path(wide, faults)[2]
+    monkeypatch.setattr(klv, "MAX_PACKED_BITS", 8)
+    got, expected, packed = _report_and_path(narrow, faults)
+    assert got == expected and not packed
+    assert "has a negative coefficient" in got[1].detail
+
+
 def _expansion_keys(d):
     """Keys of d's memo that hold an expansion of C_w . L_tau."""
     fns = (klv._dense_expand.__wrapped__, klv._row_memo.__wrapped__)
@@ -427,8 +556,17 @@ def test_c_expansion_fills_only_the_row_entries_it_reads():
 
 @pytest.mark.parametrize("name", ["sl2-T", "hecke-regular:A2"])
 def test_selfdual_suite_catches_a_non_self_dual_action(monkeypatch, name):
-    # T_s is not bar-invariant, so acting by T_w in place of C_w breaks stability
-    monkeypatch.setattr(hm, "c_matrix_columns", hm.t_matrix_columns)
+    # T_s is not bar-invariant, so acting by T_s in place of C_s = T_s + 1,
+    # the generator expansions without their + L_tau seed, breaks stability
+    def t_expand(d, w, tau):
+        table = klv.klv_table(d)
+        terms = {pid: c._c for pid, c in table.column(tau).terms.items()}
+        if w.length:
+            terms = hm.build_action_table(d).apply_terms(d.coxeter.reduced_word(w)[0], terms)
+        acc = {pid: dict(c) for pid, c in terms.items()}
+        return hm.unitriangular_coords(d, acc, lambda pid: table.columns[pid].terms)
+
+    monkeypatch.setattr(klv, "_dense_expand", t_expand)
     report = checks.run_check_suites(dm.builtin_datum(name))
     result = next(c for c in report.checks if c.name == "selfdual-basis")
     assert not result.passed
