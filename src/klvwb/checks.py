@@ -7,19 +7,18 @@ cross oracle (hecke-regular datums), positivity of the C_w structure
 constants, cuspidal-implies-clean, and series parity.  Results come back
 as named pass/fail lines in a fixed order, so output is byte-stable.
 
-The selfdual-basis stability test, positivity and the integer-powers half
-of parity all read klv.expansion_report: one pass over C_w . L_tau, one
-tau at a time, made by whichever of them asks first and memoized as
+The selfdual-basis stability test, positivity and the count of parity's
+integer-powers all read klv.expansion_report: one pass over C_w . L_tau,
+one tau at a time, made by whichever of them asks first and memoized as
 problem lines and a count, so no suite walks or keeps the expansions.
-Stability and integer powers are certified from the identity and
-generator expansions, which the W-graph rule carries to every w; the pass
-itself then only counts and tests signs, on packed integers.  Where the
-certificate fails, every (w, tau) is tested, with the same lines.
+Stability is certified from the identity and generator expansions, which
+the W-graph rule carries to every w; the pass itself then only counts and
+tests signs, on packed integers.  Where the certificate fails, every
+(w, tau) is tested, with the same lines.
 
-The series-parity half of parity builds no Ext or IC series.  Their
-single parity holds by construction once P, the costandard table and the
-Poincare numerators have integer exponents and every dim is an integer,
-and the suite certifies those inputs (see klv.parity_check).
+Both halves of parity hold by construction, since every exponent of the
+package is an integer (see laurent): integer-powers walks no polynomial
+and series-parity builds no Ext or IC series (see klv.parity_check).
 """
 
 from __future__ import annotations

@@ -7,10 +7,10 @@ is the permutation it induces on the root list.  This gives exact lengths
 normal-form issues.  Intended scale is rank <= 4, so everything is small.
 
 Enumeration also numbers the elements 0..|W|-1 in breadth-first order and
-keeps integer tables of right multiplication by each generator and of
-lengths, so inner loops can run on ints, as in du Cloux's Coxeter program
-("Computing Kazhdan-Lusztig polynomials for arbitrary Coxeter groups",
-Experiment. Math. 11 (2002)).  Like that program, every table derived from
+keeps integer tables of right and left multiplication by each generator and
+of lengths, so inner loops can run on ints, as in du Cloux's Coxeter
+program ("Computing Kazhdan-Lusztig polynomials for arbitrary Coxeter
+groups", Experiment. Math. 11 (2002)).  Like that program, every table derived from
 a system or from a datum over it is built once per owner, through memoized.
 """
 
@@ -164,6 +164,12 @@ class CoxeterSystem:
         return self._right_mul
 
     @property
+    def left_mul(self) -> tuple[tuple[int, ...], ...]:
+        """left_mul[s][i] is the index of s*x, where x has index i."""
+        self._ensure_enumerated()
+        return self._left_mul
+
+    @property
     def lengths(self) -> tuple[int, ...]:
         """lengths[i] is the length of the element with index i."""
         self._ensure_enumerated()
@@ -181,9 +187,10 @@ class CoxeterSystem:
         index = {e.perm: 0}
         words = {e.perm: ()}
         order = [e]
+        parent = [None]
         right = [[] for _ in range(self.rank)]
         # a FIFO walk: elements come out in BFS order, so right[s] fills in index order
-        for x in order:
+        for i, x in enumerate(order):
             for s in range(self.rank):
                 y = x.mul_gen(s)
                 j = index.get(y.perm)
@@ -191,11 +198,18 @@ class CoxeterSystem:
                     j = index[y.perm] = len(order)
                     words[y.perm] = words[x.perm] + (s,)
                     order.append(y)
+                    parent.append((i, s))
                 right[s].append(j)
+        # s*y = (s*x)*t for y = x*t, and x comes before y
+        left = [[r[0]] for r in right]
+        for i, t in parent[1:]:
+            for row in left:
+                row.append(right[t][row[i]])
         self._elements = tuple(order)
         self._words = words
         self._index = index
         self._right_mul = tuple(tuple(r) for r in right)
+        self._left_mul = tuple(tuple(r) for r in left)
         self._lengths = tuple(x.length for x in order)
 
     def leq_bruhat(self, x: "CoxElt", y: "CoxElt") -> bool:

@@ -357,6 +357,12 @@ class OrbitDatum:
         self.orbits = tuple(orbits)
         self.closure_pairs = tuple(closure_pairs)
         self.params = tuple(params)
+        # every twist q^dim is built from these, so integer exponents are
+        # an invariant of the package (see laurent)
+        for kind, records in (("orbit", self.orbits), ("parameter", self.params)):
+            for r in records:
+                if type(r.dim) is not int:
+                    raise DatumError(f"{kind} {r.id}: dim must be an integer, got {r.dim!r}")
         self.actions = actions
         self.costandard = costandard
         self.poincare = poincare
@@ -983,11 +989,10 @@ def _hecke_regular(label: str) -> OrbitDatum:
                 closure.append((tokens[x], tokens[y]))
 
     actions: dict[int, dict] = {}
-    for s in range(system.rank):
-        gen = system.generator(s)
+    for s, left in enumerate(system.left_mul):  # generators act on the left
         rows = {}
-        for w in els:
-            sw = gen * w  # generators act on the left
+        for w, j in zip(els, left):
+            sw = els[j]
             if sw.length > w.length:
                 rows[tokens[w]] = AscentU(up=tokens[sw])
             else:

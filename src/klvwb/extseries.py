@@ -12,13 +12,10 @@ requirements that E(tau, tau) start with 1 in degree 0 and that every
 series live in a single parity.
 
 That parity holds by construction.  Q solves P over the unitriangular
-costandard table, so it divides by nothing; Z[q, q^-1] is closed under
-+, -, x and bar; and PoincareSeries casts its denominator exponents to
-int.  When P, the costandard table and the Poincare numerators have
-integer exponents and every dim is an integer, every series therefore has
-integer exponents m, and each degree 2m - offset has the parity of its
-offset.  klv.parity_check certifies series-parity from those inputs and
-builds no series.
+costandard table, so it divides by nothing, and every exponent of the
+package is an integer (see laurent).  Every series therefore has integer
+exponents m, and each degree 2m - offset has the parity of its offset, so
+klv.parity_check builds no series.
 
 ic_cohomology(tau) pairs the full standard basis against the class of tau:
 sum_eps Q[eps, tau] * pi_eps, read through degree 2m - dim tau.  For a

@@ -237,15 +237,6 @@ def kl_basis(sys: CoxeterSystem) -> KLBasis:
     return KLBasis(sys, table, mus)
 
 
-@memoized
-def _left_mul(sys: CoxeterSystem) -> tuple[tuple[int, ...], ...]:
-    """left_mul[s][i] is the index of s*x, where x has index i."""
-    els = sys.elements()
-    return tuple(
-        tuple(sys.index(sys.generator(s) * x) for x in els) for s in range(sys.rank)
-    )
-
-
 def _left_rule_holds(basis: KLBasis, cols, w: int, col) -> bool:
     """Whether C_w = (T_s + 1) C_w' - sum_{z < w', sz < z} mu(z, w')
     q^{(l(w)-l(z))/2} C_z in the T-basis, for the first left descent s of w
@@ -255,7 +246,7 @@ def _left_rule_holds(basis: KLBasis, cols, w: int, col) -> bool:
     if w == 0:
         return col == {0: {0: 1}}
     sys = basis.system
-    left, lengths = _left_mul(sys), sys.lengths
+    left, lengths = sys.left_mul, sys.lengths
     lw = lengths[w]
     s = next(t for t in range(sys.rank) if lengths[left[t][w]] < lw)
     ls = left[s]

@@ -38,9 +38,9 @@ lists of hecke.kl_basis, one tau at a time, on kernel dicts; c_expansion
 reads it.
 
 expansion_report makes one such pass for the check suites and keeps only
-their problem lines.  The rule carries stability and integer exponents up
-from the identity and generator expansions, so it tests them there only,
-and then runs the pass on Kronecker-packed integers (laurent.ppack).
+their problem lines.  The rule carries stability up from the identity and
+generator expansions, so it tests it there only, and then runs the pass on
+Kronecker-packed integers (laurent.ppack).
 """
 
 from __future__ import annotations
@@ -87,11 +87,9 @@ class KLVTable:
         """(gamma, delta, P) triples in basis order, nonzero entries only."""
         d = self.datum
         for delta in d.basis:
-            col = self.columns[delta.id]
-            for gamma in d.basis:
-                c = col.coefficient(gamma.id)
-                if not c.is_zero():
-                    yield (gamma.id, delta.id, c)
+            terms = self.columns[delta.id].terms
+            for gamma in sorted(terms, key=d.basis_index.__getitem__):
+                yield (gamma, delta.id, terms[gamma])
 
 
 @memoized
@@ -401,19 +399,19 @@ def _wgraph_steps(sys: CoxeterSystem) -> list:
     the z with sz < z), for the first left descent s of w.  A nonzero
     mu(z, s w) needs l(s w) - l(z) odd, so l(w) - l(z) is even; DomainError
     is raised where it is not, as q^h would take a half-integer h."""
-    els = sys.elements()
+    left, lengths = sys.left_mul, sys.lengths
     mus = kl_basis(sys).mus
     steps = []
-    for w in els:
-        if w.length <= 1:
+    for w, lw in enumerate(lengths):
+        if lw <= 1:
             steps.append(None)
             continue
-        s = next(t for t in range(sys.rank) if w.has_left_descent(t))
-        prev = sys.index(sys.generator(s) * w)
+        s = next(t for t in range(sys.rank) if lengths[left[t][w]] < lw)
+        prev = left[s][w]
         edges = []
         for z, mu in mus[prev]:
-            if els[z].has_left_descent(s):
-                gap = w.length - els[z].length
+            if lengths[left[s][z]] < lengths[z]:
+                gap = lw - lengths[z]
                 if gap % 2:
                     raise DomainError(f"W-graph edge mu({z}, {prev}) spans odd length gap {gap}")
                 edges.append((z, mu, gap // 2))
@@ -454,20 +452,19 @@ class ExpansionReport:
     coefficients: int
     not_self_dual: tuple[str, ...]
     negative: tuple[str, ...]
-    non_integer: tuple[str, ...]
 
 
 @memoized
 def expansion_report(d: dm.OrbitDatum) -> ExpansionReport:
     """One pass over every C_w . L_tau, one tau at a time, each row dropped
     once read, feeding the selfdual-basis stability test, positivity and
-    the expansion half of integer-powers.
+    the count of integer-powers.
 
     Stability of C_w L_tau = sum_gamma c_gamma L_gamma is, with
     k = l(w) + dim tau - dim gamma, bar(c_gamma) q^k == c_gamma for every
-    gamma (see checks._selfdual_suite).  When _base_certifies it and
-    integer exponents for every w, and _packing finds a width, the pass
-    only counts and tests signs, on packed integers (_packed_report).
+    gamma (see checks._selfdual_suite).  When _base_certifies it for every
+    w and _packing finds a width, the pass only counts and tests signs, on
+    packed integers (_packed_report).
     Otherwise the kernel-dict pass tests every (w, tau) (_kernel_report),
     so every problem line is the same either way.
     """
@@ -481,10 +478,10 @@ def expansion_report(d: dm.OrbitDatum) -> ExpansionReport:
     }
     packing = _packing(d, base) if _base_certifies(d, base) else None
     if packing is None:
-        count, unstable, negative, non_integer = _kernel_report(d)
+        count, unstable, negative = _kernel_report(d)
     else:
         count, negative = _packed_report(d, base, *packing)
-        unstable = non_integer = []
+        unstable = []
 
     def token(i):
         return sys.element_token(els[i])
@@ -498,23 +495,18 @@ def expansion_report(d: dm.OrbitDatum) -> ExpansionReport:
             f"c[{token(i)},{d.params[j].id},{gamma}] has a negative coefficient"
             for i, j, _, gamma in sorted(negative)
         ),
-        tuple(
-            f"c[{token(i)},{d.params[j].id},{gamma}] has non-integer powers"
-            for i, j, _, gamma in sorted(non_integer)
-        ),
     )
 
 
 def _base_certifies(d: dm.OrbitDatum, base) -> bool:
-    """Whether every identity and generator expansion is stable and has
-    integer exponents; then every C_w . L_tau is.
+    """Whether every identity and generator expansion is stable; then every
+    C_w . L_tau is.
 
     expansion_row builds E[w] = sum_gamma E[w']_gamma E[s][gamma] minus
     the terms mu q^h E[z].  A product of entries stable with twists
     k(w', tau, gamma) and k(s, gamma, gamma') is stable with their sum,
     k(w, tau, gamma'); q^h, h = (l(w) - l(z))/2, turns the twist of z into
-    that of w; and entries stable with one twist add to one.  _wgraph_steps
-    makes every h an integer, so integer exponents are carried up alike.
+    that of w; and entries stable with one twist add to one.
     """
     lengths = d.coxeter.lengths
     dims = {p.id: p.dim for p in d.params}
@@ -523,15 +515,15 @@ def _base_certifies(d: dm.OrbitDatum, base) -> bool:
             k0 = lengths[i] + dims[tau]
             for gamma, c in expansion.items():
                 c, k = c._c, k0 - dims[gamma]
-                if not _integral(c) or any(c.get(k - e) != v for e, v in c.items()):
+                if any(c.get(k - e) != v for e, v in c.items()):
                     return False
     return True
 
 
 def _packing(d: dm.OrbitDatum, base) -> tuple[int, int] | None:
     """(B, digits) for the packed pass over stable expansions, or None
-    where it cannot run: a base exponent is negative, a dim is not an
-    integer, or an entry would take more than MAX_PACKED_BITS.
+    where it cannot run: a base exponent is negative, or an entry would take
+    more than MAX_PACKED_BITS.
 
     With nonnegative base exponents every exponent of E[w] is nonnegative,
     and stability puts it at most k <= l(w0) + max dim - min dim, so an
@@ -540,8 +532,7 @@ def _packing(d: dm.OrbitDatum, base) -> tuple[int, int] | None:
     expansion_row's step b[w] = b[w'] b[s] + sum |mu| b[z].  B is one bit
     past the largest b[w], so every coefficient c has |c| < 2^(B-1).
     """
-    dims = [p.dim for p in d.params]
-    if not all(isinstance(dim, int) for dim in dims) or any(
+    if any(
         e < 0 for per in base.values() for exp in per.values() for c in exp.values() for e in c._c
     ):
         return None
@@ -556,6 +547,7 @@ def _packing(d: dm.OrbitDatum, base) -> tuple[int, int] | None:
             s, prev, edges = step
             bound[i] = bound[prev] * bound[gens[s]] + sum(abs(mu) * bound[z] for z, mu, _ in edges)
     bits = max(bound).bit_length() + 1
+    dims = [p.dim for p in d.params]
     digits = sys.lengths[-1] + max(dims, default=0) - min(dims, default=0) + 1
     return (bits, digits) if bits * digits <= MAX_PACKED_BITS else None
 
@@ -611,8 +603,8 @@ def _packed_report(d: dm.OrbitDatum, base, bits: int, digits: int) -> tuple[int,
     return count, negative
 
 
-def _kernel_report(d: dm.OrbitDatum) -> tuple[int, list, list, list]:
-    """(count, unstable, negative, non_integer) of expansion_report, from
+def _kernel_report(d: dm.OrbitDatum) -> tuple[int, list, list]:
+    """(count, unstable, negative) of expansion_report, from
     expansion_row on kernel dicts, every (w, tau) tested.  e -> k - e is an
     involution, so stability holds iff c_gamma has coefficient v at k - e
     for every term v q^e."""
@@ -620,7 +612,7 @@ def _kernel_report(d: dm.OrbitDatum) -> tuple[int, list, list, list]:
     index = d.basis_index
     dims = {p.id: p.dim for p in d.params}
     count = 0
-    unstable, negative, non_integer = [], [], []
+    unstable, negative = [], []
     for j, p in enumerate(d.params):
         for i, expansion in expansion_row(d, p.id).items():
             k0 = els[i].length + p.dim
@@ -634,9 +626,7 @@ def _kernel_report(d: dm.OrbitDatum) -> tuple[int, list, list, list]:
                         unstable.append((i, j))
                 if min(c.values(), default=0) < 0:
                     negative.append((i, j, -index[gamma], gamma))
-                if not _integral(c):
-                    non_integer.append((i, j, -index[gamma], gamma))
-    return count, unstable, negative, non_integer
+    return count, unstable, negative
 
 
 def is_clean(table: KLVTable, tau: str) -> bool:
@@ -668,63 +658,27 @@ def is_cuspidal(d: dm.OrbitDatum, tau: str) -> bool:
 
 def parity_check(d: dm.OrbitDatum, window: int = 10) -> dm.ValidationReport:
     """integer-powers over P and every C_w . L_tau, and series-parity over
-    every Ext and IC series, certified from integral inputs.
+    every Ext and IC series.
 
-    Each series is sum_eps bar(P[eps, tau]) Q[eps, gamma] pi_eps (see
-    extseries), Q the solve of P over the costandard table, which is
-    unitriangular and so divides by nothing.  Coefficient m is read in
-    degree 2m - offset, the offset a difference of dims (dim tau for IC).
-    Z[q, q^-1] is closed under +, -, x and bar, and PoincareSeries casts
-    its denominator exponents to int.  So when the exponents of P, of the
-    costandard table and of the Poincare numerators are integers, and so
-    is every dim, every series has integer exponents, every degree has the
-    parity of its offset, and all n (n + 1) series sit in one parity: no
-    series is built.  series-parity tests that premise and names the first
-    source that breaks it; the P exponents are read in the integer-powers
-    pass over the table.
+    Both hold by construction: every exponent of the package is an integer
+    (see laurent), so integer-powers counts the polynomials, the nonzero
+    entries of P and of every C_w . L_tau, and walks none of them.  Each
+    series is sum_eps bar(P[eps, tau]) Q[eps, gamma] pi_eps (see
+    extseries), its coefficient m read in degree 2m - offset, the offset a
+    difference of dims (dim tau for IC).  Every m is an integer, so every
+    degree has the parity of its offset and all n (n + 1) series sit in one
+    parity: no series is built.
     """
     table = klv_table(d)
-    problems = []
-    count = 0
-    for gamma_id, delta_id, poly in table.rows():
-        count += 1
-        if not _integral(poly._c):
-            problems.append(f"P[{gamma_id},{delta_id}] has non-integer powers")
-    fault = problems[0] if problems else None
-    report = expansion_report(d)
-    count += report.coefficients
-    problems.extend(report.non_integer)
-    checks = [dm.CheckResult.of("integer-powers", problems, f"{count} polynomials")]
-
+    count = sum(len(col.terms) for col in table.columns.values())
+    count += expansion_report(d).coefficients
+    checks = [dm.CheckResult("integer-powers", True, f"{count} polynomials")]
     # the window only names a range in the detail; an empty one is refused
     # as PoincareSeries.expand refuses it
     if window < 0:
         raise DomainError("empty expansion window")
-    fault = fault or _non_integral_input(d)
-    problems = [f"cannot certify: {fault}"] if fault else []
     n = len(d.basis)
     checks.append(
-        dm.CheckResult.of("series-parity", problems, f"{n * (n + 1)} series, window q^0..q^{window}")
+        dm.CheckResult("series-parity", True, f"{n * (n + 1)} series, window q^0..q^{window}")
     )
     return dm.ValidationReport(checks)
-
-
-def _integral(c: dict) -> bool:
-    """True iff every exponent of the kernel dict c is an int."""
-    return all(isinstance(e, int) for e in c)
-
-
-def _non_integral_input(d: dm.OrbitDatum) -> str | None:
-    """The first costandard entry, Poincare numerator or dim of d that is
-    not integral, named; None when there is none."""
-    costandard, _ = hm.costandard_table(d)
-    for col in d.basis:
-        for row, c in costandard[col.id].items():
-            if not _integral(c._c):
-                return f"costandard[{col.id}][{row}] has non-integer powers"
-    for p in d.basis:
-        if not _integral(d.poincare[p.id].num._c):
-            return f"poincare[{p.id}] has non-integer powers"
-        if not isinstance(p.dim, int):
-            return f"dim of {p.id} is not an integer"
-    return None

@@ -5,6 +5,16 @@ integer coefficients; the variable q tracks the grading twist throughout the
 package.  PoincareSeries represents num / prod_i (1 - q^{a_i}) exactly, the
 shape taken by equivariant cohomology rings of stabilizers.
 
+Every exponent, coefficient and denominator exponent is a Python int, and
+that is checked once, where a value can enter: LaurentPoly and
+PoincareSeries raise DomainError on anything else instead of converting it
+(int() would truncate q^(1/2) to q^0), and datum.OrbitDatum refuses a
+non-int dim.  The kernel below is closed under +, -, x and bar, and every
+shift the package applies is a dim, a length or half an even length gap, so
+every polynomial and series built from them keeps integer exponents.  The
+parity corollaries of the check suites hold by this invariant; nothing
+re-walks the terms to test it.
+
 The arithmetic itself is the pure-Python kernel below: functions on plain
 dicts mapping integer exponents to nonzero integer coefficients.  Each one
 either returns a fresh normalized dict (no zero values) or, for paccum and
@@ -168,8 +178,11 @@ class LaurentPoly:
     def __init__(self, coeffs=None):
         if coeffs is None:
             self._c = {}
-        else:
-            self._c = {int(e): int(c) for e, c in coeffs.items() if c}
+            return
+        for e, c in coeffs.items():
+            if not (isinstance(e, int) and isinstance(c, int)):
+                raise DomainError(f"non-integer term {c!r} q^{e!r}")
+        self._c = {e: c for e, c in coeffs.items() if c}
 
     @classmethod
     def _raw(cls, d: dict) -> "LaurentPoly":
@@ -458,8 +471,11 @@ class PoincareSeries:
     __slots__ = ("num", "den")
 
     def __init__(self, num: LaurentPoly, den=()):
-        den = sorted(int(a) for a in den)
-        if any(a < 1 for a in den):
+        for a in den:
+            if not isinstance(a, int):
+                raise DomainError(f"non-integer denominator exponent {a!r}")
+        den = sorted(den)
+        if den and den[0] < 1:
             raise DomainError("denominator exponents must be positive")
         num, den = _reduce(num, den)
         self.num = num

@@ -95,13 +95,14 @@ def test_length_is_word_length_and_descent_law():
 def test_integer_tables_match_the_permutations(label):
     sys = build_system(label)
     els = sys.elements()
-    assert len(sys.right_mul) == sys.rank
+    assert len(sys.right_mul) == len(sys.left_mul) == sys.rank
     assert [sys.index(x) for x in els] == list(range(len(els)))
     assert list(sys.lengths) == [x.length for x in els]
     assert list(sys.lengths) == sorted(sys.lengths)
     for i, x in enumerate(els):
         for s in range(sys.rank):
             assert els[sys.right_mul[s][i]] == x.mul_gen(s)
+            assert els[sys.left_mul[s][i]] == sys.generator(s) * x
 
 
 def test_inverse_and_left_descents():

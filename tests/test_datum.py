@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -199,6 +200,7 @@ LOAD_ERRORS = [
     ("T", ("orbits", 0, "closed"), "true", DatumFormatError,
      "orbits[0]: closed must be true or false"),
     ("T", ("orbits", 0, "dim"), -1, DatumFormatError, "orbits[0]: negative dimension"),
+    ("T", ("orbits", 0, "dim"), 0.5, DatumFormatError, "orbits[0]: dim must be an integer"),
     ("T", ("orbits", 1, "id"), "0", DatumFormatError, "orbits[1]: duplicate orbit id '0'"),
     ("T", ("closure", 0), "0", DatumFormatError, "closure[0]: must be [lower, upper] orbit ids"),
     ("T", ("closure", 0), ["0"], DatumFormatError,
@@ -444,6 +446,17 @@ def test_validation_detects_broken_mirror():
     actions[0]["wp"] = dm.DescentN(partner="wp", down="u")
     bad = clone(d, actions=actions)
     assert "link-mirroring" in failed_names(bad)
+
+
+@pytest.mark.parametrize("field", ["orbits", "params"])
+def test_a_datum_refuses_a_non_integer_dim(field):
+    d = dm.builtin_datum("sl2-T")
+    records = getattr(d, field)
+    half = (dataclasses.replace(records[0], dim=0.5), *records[1:])
+    kind = "orbit" if field == "orbits" else "parameter"
+    message = f"^{kind} {records[0].id}: dim must be an integer, got 0.5$"
+    with pytest.raises(DatumError, match=message):
+        clone(d, **{field: half})
 
 
 def test_validation_detects_dim_closure_conflict():

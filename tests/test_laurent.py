@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -105,6 +106,22 @@ def test_parse_rejects_garbage():
     for bad in ["", "q^", "1++q", "x", "q2", "1 2"]:
         with pytest.raises(DomainError):
             parse_poly(bad)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: LaurentPoly({Fraction(1, 2): 1}),
+        lambda: LaurentPoly({0.5: 1, 0: 2}),
+        lambda: LaurentPoly({0: 1.5}),
+        lambda: PoincareSeries(ONE, [1.5]),
+    ],
+    ids=["half-exponent", "float-exponent", "float-coefficient", "float-denominator"],
+)
+def test_non_integers_are_refused_at_construction(build):
+    # int() would truncate each of these to an integer term
+    with pytest.raises(DomainError, match="^non-integer "):
+        build()
 
 
 def test_series_equality_by_cross_multiplication():
