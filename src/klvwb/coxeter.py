@@ -285,12 +285,6 @@ class CoxElt:
         img = self.perm[sys._simple_root_idx[s]]
         return not _is_positive(sys.roots[img])
 
-    def has_left_descent(self, s: int) -> bool:
-        sys = self.system
-        inv = self.inverse()
-        img = inv.perm[sys._simple_root_idx[s]]
-        return not _is_positive(sys.roots[img])
-
     def __repr__(self):
         return f"CoxElt(len={self.length})"
 

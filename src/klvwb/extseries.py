@@ -47,8 +47,9 @@ The full sweep goes one tau-row at a time.  Q is indexed by row once per
 datum, eps -> the (gamma, packed Q[eps, gamma]) of its row, gamma as its
 basis index.  For each eps in P[., tau], bar(P[eps, tau]) is packed once
 and multiplied into the weight of every (slot, gamma) that the Q row
-reaches, so one pass accumulates the whole row.  A single pair, and the IC
-series, run the same accumulation restricted to one gamma.
+reaches, so one pass accumulates the whole row.  A single pair is read
+off its row, and the IC series of every tau form one more row, the pairing
+of the all-ones column, built once per datum.
 
 When every denominator in the datum's Poincare table is a power of one
 factor (1 - q^a), a slot is a distinct series: the weights that share it
@@ -217,21 +218,23 @@ def _tables(d: dm.OrbitDatum) -> tuple[dict, dict]:
     return {}, {}
 
 
-def _pair(d: dm.OrbitDatum, left: dict, right, n: int) -> list[PoincareSeries]:
-    """The n series sum over eps of left[eps] * b * poincare[eps], the i-th
-    over the (i, b) pairs in right(eps); left[eps] is packed at lo_left and
-    b at lo_q (_packing).
+def _pair(d: dm.OrbitDatum, left: dict) -> list[PoincareSeries]:
+    """For every gamma in basis order, the series sum over eps of
+    left[eps] * Q[eps, gamma] * poincare[eps], over the _q_rows; left[eps]
+    is packed at lo_left (_packing).
 
-    The products are accumulated per (slot, i).  Each series' nonzero
+    The products are accumulated per (slot, gamma).  Each series' nonzero
     weights, in slot order, key the series table; a new key is decoded and
     summed in slot order, each term reduced as it is added."""
     slot, series = _slots(d)
+    rows = _q_rows(d)
+    n = len(d.basis)
     weights: dict[int, list[int]] = {}
     for eps, a in left.items():
         per = weights.get(slot[eps])
         if per is None:
             per = weights[slot[eps]] = [0] * n
-        for i, b in right(eps):
+        for i, b in zip(*rows[eps]):
             per[i] += a * b
     slots = sorted(weights.items())
     built, _ = _tables(d)
@@ -266,44 +269,33 @@ def ext_row(d: dm.OrbitDatum, tau: str) -> list[ExtSeries]:
     """Ext(tau, gamma) for every gamma in basis order, from one pass over
     P[., tau] and the Q rows."""
     _known(d, tau)
-    rows = _q_rows(d)
-    n = len(d.basis)
-    totals = _pair(d, _bar_column(d, tau), lambda eps: zip(*rows.get(eps, ((), ()))), n)
     dim = d.param_by_id[tau].dim
     _, memo = _tables(d)
     return [
         ExtSeries(tau, gamma.id, total, gamma.dim - dim, memo)
-        for gamma, total in zip(d.basis, totals)
+        for gamma, total in zip(d.basis, _pair(d, _bar_column(d, tau)))
     ]
 
 
 def ext_poincare(d: dm.OrbitDatum, tau: str, gamma: str) -> ExtSeries:
     """Weight series of the Ext pairing between the simple classes: the
-    row of ext_row restricted to gamma."""
+    gamma entry of ext_row."""
     _known(d, tau, gamma)
-    q_col = _q_columns(d)[gamma]
-    bits, _, lo = _packing(d)
+    return ext_row(d, tau)[d.basis_index[gamma]]
 
-    def right(eps):
-        return ((0, ppack(q_col[eps], bits, lo)),) if eps in q_col else ()
 
-    (total,) = _pair(d, _bar_column(d, tau), right, 1)
-    offset = d.param_by_id[gamma].dim - d.param_by_id[tau].dim
-    return ExtSeries(tau, gamma, total, offset, _tables(d)[1])
+@memoized
+def _ic_row(d: dm.OrbitDatum) -> list[PoincareSeries]:
+    """The IC series of every tau in basis order: the pairing of the
+    all-ones column."""
+    bits, lo_left, _ = _packing(d)
+    return _pair(d, dict.fromkeys(d.basis_index, ppack({0: 1}, bits, lo_left)))
 
 
 def ic_cohomology(d: dm.OrbitDatum, tau: str) -> ExtSeries:
     """Weight series pairing every standard class against the class of tau."""
     _known(d, tau)
-    q_col = _q_columns(d)[tau]
-    bits, lo_left, lo = _packing(d)
-    one = ppack({0: 1}, bits, lo_left)
-    (total,) = _pair(
-        d,
-        dict.fromkeys(q_col, one),
-        lambda eps: ((0, ppack(q_col[eps], bits, lo)),),
-        1,
-    )
+    total = _ic_row(d)[d.basis_index[tau]]
     return ExtSeries(tau, None, total, d.param_by_id[tau].dim, _tables(d)[1])
 
 

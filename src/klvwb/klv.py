@@ -12,7 +12,10 @@ analogue of the Kazhdan-Lusztig recursion in hecke.kl_basis.  When a U- or
 T-ascent (s, delta') leads to delta, (T_s + 1) L_delta' is already fixed
 by beta up to q^-dim(delta); subtracting symmetric multiples of the lower
 L_gamma, top down, leaves L_delta.  Columns with no such ascent (closed
-orbits, cuspidals, N-ascent targets) are corrected with the dense beta.
+orbits, cuspidals, N-ascent targets) are read off the costandard table:
+n_delta - m_delta, written in the lower L_gamma by one back substitution,
+holds each P[gamma, delta] as the low-degree half of its coordinate
+(Kazhdan-Lusztig, Invent. Math. 53 (1979), section 2).
 verify_klv_table re-checks every defining property independently of the
 solver, so the algorithm itself is replaceable.  It picks its own ascent
 for each column and certifies self-duality from (T_s + 1) L_delta' and the
@@ -63,10 +66,6 @@ from .laurent import (
     vaccum,
 )
 
-# bounds the dense correction steps of a _beta_column, the columns the
-# ascent recursion does not seed
-ITERATION_FACTOR = 4
-
 _MINUS_ONE = {0: -1}
 
 
@@ -114,7 +113,8 @@ def klv_table(d: dm.OrbitDatum) -> KLVTable:
     hmodule.compatibility_problems, which certifies it by ascent induction
     from a few (p, s) and sums every (p, s) only on a failure, finds none.
     Columns without a seed, every column of a datum that fails the law, and
-    a seed whose top entry is not 1 . m_delta take _beta_column.
+    a seed whose top entry is not 1 . m_delta take _costandard_column, which
+    needs only the self-duality of the columns below, not the law.
     """
     dm.ensure_valid(d)
     compatible = not any(hm.compatibility_problems(d).values())
@@ -128,7 +128,7 @@ def klv_table(d: dm.OrbitDatum) -> KLVTable:
             s, src, _ = sources[delta.id][0]
             seed = columns[src]
             col = _selfdual_column(d, columns, delta, action.apply(s, seed) + seed)
-        columns[delta.id] = col if col is not None else _beta_column(d, columns, delta)
+        columns[delta.id] = col if col is not None else _costandard_column(d, columns, delta)
     return KLVTable(d, columns)
 
 
@@ -155,34 +155,37 @@ def _selfdual_column(d: dm.OrbitDatum, columns, delta, v: hm.ModuleVector):
     return hm.ModuleVector._raw(d, acc)
 
 
-def _beta_column(d: dm.OrbitDatum, columns, delta) -> hm.ModuleVector:
-    """L_delta by dense correction: subtract lower columns until beta fixes
-    m_delta + lower up to the twist, in at most ITERATION_FACTOR * n^2 steps."""
-    bound = ITERATION_FACTOR * len(d.params) ** 2
+def _costandard_column(d: dm.OrbitDatum, columns, delta) -> hm.ModuleVector:
+    """L_delta = m_delta + sum of x_gamma L_gamma, read off the costandard
+    column n_delta = q^dim(delta) beta(m_delta) in one back substitution.
+
+    Every lower L_gamma is self-dual, so L_delta is iff n_delta - m_delta =
+    sum of r_gamma L_gamma with r_gamma = x_gamma - q^gap bar(x_gamma),
+    gap = dim delta - dim gamma (Kazhdan-Lusztig, Invent. Math. 53 (1979),
+    section 2).  x_gamma lives in degrees up to (gap - 1)//2 and
+    q^gap bar(x_gamma) above them, so x_gamma is r_gamma truncated there,
+    and the rest of r_gamma must match, gamma from the top down.
+    """
+    table, _ = hm.costandard_table(d)
     index = d.basis_index
-    twist = LaurentPoly.monomial(1, delta.dim)
-    vec = hm.basis_vector(d, delta.id)
-    for _ in range(bound):
-        diff = hm.beta(vec, d).scale(twist) - vec
-        if diff.is_zero():
-            return vec
-        gamma = max(diff.coords, key=index.__getitem__)
-        if index[gamma] >= index[delta.id]:
-            raise NonGeometricDatum(
-                f"correction support at or above {delta.id} (datum {d.name})"
-            )
-        coeff = diff.coords[gamma]
+    acc: dict[str, dict] = {}
+    vaccum(acc, ONE._c, table[delta.id].items())
+    vaccum(acc, _MINUS_ONE, ((delta.id, ONE),))
+    if acc and max(map(index.__getitem__, acc)) >= index[delta.id]:
+        raise NonGeometricDatum(
+            f"correction support at or above {delta.id} (datum {d.name})"
+        )
+    out = {delta.id: {0: 1}}
+    for gamma, r in hm.unitriangular_coords(d, acc, lambda g: columns[g].terms).items():
         gap = delta.dim - d.param_by_id[gamma].dim
-        fix = (-coeff).truncate((gap - 1) // 2)
-        if fix.is_zero():
+        x = r.truncate((gap - 1) // 2)
+        if x - x.bar().shift(gap) != r:
             raise NonGeometricDatum(
                 f"no degree-bounded correction at ({gamma}, {delta.id}) "
                 f"(datum {d.name})"
             )
-        vec = vec - columns[gamma].scale(fix)
-    raise NonGeometricDatum(
-        f"self-dual correction did not converge at {delta.id} (datum {d.name})"
-    )
+        vaccum(out, x._c, columns[gamma].terms.items())
+    return hm.ModuleVector._raw(d, out)
 
 
 def verify_klv_table(table: KLVTable, d: dm.OrbitDatum) -> list[str]:

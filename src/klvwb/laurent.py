@@ -245,18 +245,6 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        if n < 0:
-            raise DomainError("negative powers of a polynomial are not defined")
-        out = LaurentPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def __eq__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:

@@ -1,3 +1,4 @@
+import contextlib
 import json
 import random
 import re
@@ -22,26 +23,56 @@ def table_dict(table):
     return {(g, d): render_poly(p) for g, d, p in table.rows()}
 
 
-def _beta_correction_columns(d):
-    """Reference table: start each L_delta at m_delta and subtract lower
-    columns until the dense beta fixes it, one beta per correction."""
-    columns = {}
+def _beta_column(d, columns, delta):
+    """Reference solver for one column by dense correction: start L_delta
+    at m_delta and subtract lower columns until the dense beta fixes it up
+    to the twist, one beta per correction, raising klv's two errors.  It
+    stops within n + 1 steps, so a bound of 4 n^2 steps is asserted, not
+    reported."""
     index = d.basis_index
+    twist = LaurentPoly.monomial(1, delta.dim)
+    vec = hm.basis_vector(d, delta.id)
+    for _ in range(4 * len(d.params) ** 2):
+        diff = hm.beta(vec, d).scale(twist) - vec
+        if diff.is_zero():
+            return vec
+        gamma = max(diff.coords, key=index.__getitem__)
+        if index[gamma] >= index[delta.id]:
+            raise NonGeometricDatum(
+                f"correction support at or above {delta.id} (datum {d.name})"
+            )
+        gap = delta.dim - d.param_by_id[gamma].dim
+        fix = (-diff.coords[gamma]).truncate((gap - 1) // 2)
+        if fix.is_zero():
+            raise NonGeometricDatum(
+                f"no degree-bounded correction at ({gamma}, {delta.id}) "
+                f"(datum {d.name})"
+            )
+        vec = vec - columns[gamma].scale(fix)
+    raise AssertionError(f"dense correction did not converge at {delta.id}")
+
+
+def _beta_correction_columns(d):
+    """Reference table: every column by the dense correction loop."""
+    columns = {}
     for delta in d.basis:
-        twist = LaurentPoly.monomial(1, delta.dim)
-        vec = hm.basis_vector(d, delta.id)
-        while True:
-            diff = hm.beta(vec, d).scale(twist) - vec
-            if diff.is_zero():
-                break
-            gamma = max(diff.coords, key=index.__getitem__)
-            assert index[gamma] < index[delta.id]
-            gap = delta.dim - d.param_by_id[gamma].dim
-            fix = (-diff.coords[gamma]).truncate((gap - 1) // 2)
-            assert not fix.is_zero()
-            vec = vec - columns[gamma].scale(fix)
-        columns[delta.id] = vec
+        columns[delta.id] = _beta_column(d, columns, delta)
     return columns
+
+
+def _forced_fallback():
+    """hmodule.compatibility_problems marked failed at every parameter, so
+    klv_table reads every column off the costandard table."""
+    return mock.patch.object(
+        hm, "compatibility_problems", lambda d: {p.id: ["forced"] for p in d.params}
+    )
+
+
+def _same_columns(got, expected):
+    """Equal columns in equal key order, parameters and rows alike."""
+    assert list(got) == list(expected)
+    for delta, col in expected.items():
+        assert list(got[delta].coords.items()) == list(col.coords.items()), delta
 
 
 ORACLE_DATUMS = ["sl2-T", "sl2-N"] + [
@@ -57,6 +88,14 @@ def test_ascent_recursion_matches_beta_correction(name):
     assert list(table.columns) == list(expected)
     for delta, col in expected.items():
         assert table.column(delta).coords == col.coords, delta
+
+
+@pytest.mark.parametrize("name", ORACLE_DATUMS)
+def test_every_column_read_off_the_costandard_table_matches_beta_correction(name):
+    d = dm.builtin_datum(name)
+    with _forced_fallback():
+        table = klv.klv_table(d)
+    _same_columns(table.columns, _beta_correction_columns(d))
 
 
 @pytest.fixture(scope="module")
@@ -679,11 +718,36 @@ def test_parity_check_rejects_an_empty_window():
 
 
 def test_non_geometric_datum_detected(monkeypatch):
-    base = dm.builtin_datum("sl2-T")
+    bad = _perturbed("sl2-T", [("ws", "p0", ONE, False)])  # breaks the involution
+    assert not dm.validate_datum(bad).ok
+    # force the gate open to exercise the solver's own failure detection
+    monkeypatch.setattr(dm, "ensure_valid", lambda d: None)
+    with pytest.raises(NonGeometricDatum):
+        klv.klv_table(bad)
+
+
+def _perturbed(name, bumps):
+    """A fresh builtin datum with each bump (col, row, x, shaped) added to
+    column col of its costandard table: x at row, or if shaped,
+    (x - q^gap bar(x)) L_row for gap = dim col - dim row, which a solvable
+    column absorbs as P[., col] += x L_row.  Entries that cancel are
+    dropped."""
+    base = dm.builtin_datum(name)
     costd = {k: dict(v) for k, v in base.costandard.items()}
-    costd["ws"] = {"ws": ONE, "p0": ONE}  # breaks the involution
-    bad = dm.OrbitDatum(
-        name="sl2-T-broken",
+    for col, row, x, shaped in bumps:
+        terms = {row: x}
+        if shaped:
+            gap = base.param_by_id[col].dim - base.param_by_id[row].dim
+            r = x - x.bar().shift(gap)
+            terms = {t: r * c for t, c in klv.klv_table(base).column(row).coords.items()}
+        for t, c in terms.items():
+            entry = costd[col].get(t, LaurentPoly.zero()) + c
+            if entry.is_zero():
+                costd[col].pop(t, None)
+            else:
+                costd[col][t] = entry
+    return dm.OrbitDatum(
+        name=base.name,
         coxeter_spec=base.coxeter_spec,
         orbits=base.orbits,
         closure_pairs=base.closure_pairs,
@@ -692,12 +756,55 @@ def test_non_geometric_datum_detected(monkeypatch):
         costandard=costd,
         poincare=base.poincare,
     )
-    assert not dm.validate_datum(bad).ok
-    # force the gate open to exercise the solver's own failure detection
-    monkeypatch.setattr(dm, "ensure_valid", lambda d: None)
-    with pytest.raises(NonGeometricDatum):
-        klv.klv_table(bad)
 
+
+def _solve(d):
+    """The columns of klv_table(d), or the class and message it raises."""
+    try:
+        return klv.klv_table(d).columns
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize(
+    "col, row, bump, message",
+    [
+        ("u", "wm", "1", "correction support at or above u (datum sl2-N)"),
+        ("wm", "u", "2q", "no degree-bounded correction at (u, wm) (datum sl2-N)"),
+        ("wm", "u", "-1+2q", "no degree-bounded correction at (u, wm) (datum sl2-N)"),
+    ],
+)
+def test_unseeded_column_errors_match_beta_correction(monkeypatch, col, row, bump, message):
+    monkeypatch.setattr(dm, "ensure_valid", lambda d: None)
+    bumps = [(col, row, parse_poly(bump), False)]
+    got = _solve(_perturbed("sl2-N", bumps))
+    monkeypatch.setattr(klv, "_costandard_column", _beta_column)
+    assert got == _solve(_perturbed("sl2-N", bumps)) == (NonGeometricDatum, message)
+
+
+_GATE_BYPASS_DATUMS = ["sl2-T", "sl2-N"] + [
+    f"hecke-regular:{label}" for label in ("A1", "A2", "B2")
+]
+
+
+@settings(deadline=None, max_examples=150)
+@given(data=st.data())
+def test_unseeded_columns_match_beta_correction_past_the_gate(data):
+    name = data.draw(st.sampled_from(_GATE_BYPASS_DATUMS))
+    pids = st.sampled_from([p.id for p in dm.builtin_datum(name).basis])
+    polys = st.sampled_from(_PERTURBATIONS).map(parse_poly)
+    bump = st.tuples(pids, pids, polys, st.booleans())
+    bumps = data.draw(st.lists(bump, min_size=1, max_size=2))
+    forced = _forced_fallback() if data.draw(st.booleans()) else contextlib.nullcontext()
+    with mock.patch.object(dm, "ensure_valid", lambda d: None), forced:
+        got = _solve(_perturbed(name, bumps))
+        with mock.patch.object(klv, "_costandard_column", _beta_column):
+            expected = _solve(_perturbed(name, bumps))
+    if isinstance(expected, tuple):
+        assert got == expected
+    else:
+        assert not isinstance(got, tuple), got
+        _same_columns(got, expected)
 
 
 def _dense_verify_klv_table(table, d):
