@@ -1,8 +1,8 @@
 """Weight series of equivariant Ext groups and intersection cohomology.
 
 Purity reduces both to an orbitwise pairing: with P the self-dual table in
-the standard basis, Q the same table rewritten in the costandard basis, and
-pi_eps the stabilizer series of each parameter,
+the standard basis, Q the same table in the costandard basis, and pi_eps
+the stabilizer series of each parameter,
 
     E(tau, gamma) = sum_eps bar(P[eps, tau]) * Q[eps, gamma] * pi_eps(q).
 
@@ -11,11 +11,27 @@ cohomological degree 2m - (dim gamma - dim tau); it is anchored by the
 requirements that E(tau, tau) start with 1 in degree 0 and that every
 series live in a single parity.
 
-That parity holds by construction.  Q solves P over the unitriangular
-costandard table, so it divides by nothing, and every exponent of the
-package is an integer (see laurent).  Every series therefore has integer
-exponents m, and each degree 2m - offset has the parity of its offset, so
-klv.parity_check builds no series.
+Q is P read through the duality, as a costalk is the Verdier dual of a
+stalk.  Every column is self-dual, beta(L_delta) = q^-dim delta L_delta,
+and beta(m_eps) = q^-dim eps n_eps, so
+
+    L_delta = q^dim delta sum_eps bar(P[eps, delta]) q^-dim eps n_eps,
+
+and the n_eps are unitriangular over the m_eps, so these coordinates are
+the only ones: Q[eps, delta] = q^(dim delta - dim eps) bar(P[eps, delta])
+(Kazhdan-Lusztig, Invent. Math. 53 (1979), section 2; Lusztig-Vogan,
+Invent. Math. 71 (1983)).  Both column solvers of klv.klv_table produce
+self-dual columns on every datum that passes dm.ensure_valid, which
+klv_table calls first: the ascent recursion runs only behind the
+compatibility law that makes its seeds self-dual, and the costandard back
+substitution refuses a column it cannot make self-dual.  So the identity
+holds wherever Q is read.
+
+The single parity holds by construction.  Each Q entry is a bar of an
+integer-exponent polynomial shifted by an integer dim, and every exponent
+of the package is an integer (see laurent).  Every series therefore has
+integer exponents m, and each degree 2m - offset has the parity of its
+offset, so klv.parity_check builds no series.
 
 ic_cohomology(tau) pairs the full standard basis against the class of tau:
 sum_eps Q[eps, tau] * pi_eps, read through degree 2m - dim tau.  For a
@@ -75,7 +91,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import datum as dm
-from . import hmodule as hm
 from . import klv as klvmod
 from .coxeter import memoized
 from .errors import DatumError, DomainError
@@ -84,6 +99,7 @@ from .laurent import (
     LaurentPoly,
     PoincareSeries,
     pbar,
+    pmonmul,
     pnorm,
     ppack,
     punpack,
@@ -120,19 +136,23 @@ class ExtSeries:
 
 @memoized
 def _q_columns(d: dm.OrbitDatum) -> dict[str, dict[str, dict]]:
-    """Self-dual basis rewritten in the costandard basis (triangular solve):
-    {gamma: {eps: Q[eps, gamma] kernel dict}}, equal entries sharing one
-    dict."""
+    """The self-dual basis in the costandard basis, {gamma: {eps: Q[eps,
+    gamma] kernel dict}}, equal entries sharing one dict.
+
+    Q[eps, gamma] = q^(dim gamma - dim eps) bar(P[eps, gamma]) are the
+    costandard coordinates of a self-dual column (module docstring).  The
+    premise holds here: klv_table calls dm.ensure_valid first, and both of
+    its column solvers make every column self-dual on a datum that passes.
+    """
     table = klvmod.klv_table(d)
-    n_cols, _ = hm.costandard_table(d)
     shared: dict[frozenset, dict] = {}
     out = {}
-    for delta in d.basis:
-        acc = {pid: dict(c._c) for pid, c in table.column(delta.id).terms.items()}
-        coords = hm.unitriangular_coords(d, acc, n_cols.__getitem__)
-        out[delta.id] = {
-            eps: shared.setdefault(frozenset(c._c.items()), c._c) for eps, c in coords.items()
-        }
+    for gamma in d.basis:
+        col = {}
+        for eps, p in table.column(gamma.id).coords.items():
+            c = pmonmul(pbar(p._c), 1, gamma.dim - d.param_by_id[eps].dim)
+            col[eps] = shared.setdefault(frozenset(c.items()), c)
+        out[gamma.id] = col
     return out
 
 
@@ -267,7 +287,11 @@ def _bar_column(d: dm.OrbitDatum, tau: str) -> dict[str, int]:
 
 def ext_row(d: dm.OrbitDatum, tau: str) -> list[ExtSeries]:
     """Ext(tau, gamma) for every gamma in basis order, from one pass over
-    P[., tau] and the Q rows."""
+    P[., tau] and the Q rows.
+
+    Ext(gamma, tau) = q^(dim tau - dim gamma) Ext(tau, gamma): by the
+    duality each term is q^(dim gamma - dim eps) bar(P[eps, tau]
+    P[eps, gamma]) pi_eps, symmetric in tau and gamma but for the shift."""
     _known(d, tau)
     dim = d.param_by_id[tau].dim
     _, memo = _tables(d)

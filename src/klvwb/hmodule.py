@@ -34,9 +34,8 @@ such row induces are summed, nor the (src, s) a derived table was built
 from; on any failure every (p, s) is.
 
 unitriangular_coords is the one top-down back substitution: klv expands
-C_w . L_tau in the self-dual basis with it and reads the columns no ascent
-seeds off the costandard table, extseries rewrites that basis in the
-costandard one.
+C_w . L_tau in the self-dual basis with it, reads the columns no ascent
+seeds off the costandard table, and certifies the ascent-reached ones.
 """
 
 from __future__ import annotations

@@ -655,7 +655,7 @@ def parse_series(obj) -> PoincareSeries:
         raise DomainError(f"bad series object {obj!r}")
     num = parse_poly(obj.get("num", "1"))
     den = obj.get("den", [])
-    if not isinstance(den, list) or not all(isinstance(a, int) for a in den):
+    if not isinstance(den, list) or not all(type(a) is int for a in den):
         raise DomainError(f"bad series denominator {den!r}")
     return PoincareSeries(num, den)
 

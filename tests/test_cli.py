@@ -235,6 +235,19 @@ def test_hostile_datum_is_rejected_cleanly(tmp_path, capsys, where, value):
     _assert_one_invalid_datum_line(code, capsys.readouterr())
 
 
+def test_a_boolean_poincare_denominator_is_refused(tmp_path, capsys):
+    # JSON true is a Python int subclass; it once read as the factor (1 - q)
+    obj = dm.builtin_datum("sl2-T").to_jsonable()
+    obj["poincare"]["ws"] = {"num": "1", "den": [True]}
+    path = tmp_path / "bool_den.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    assert '"den": [true]' in path.read_text(encoding="utf-8")
+    line = _assert_one_invalid_datum_line(
+        main(["validate", "--datum", str(path)]), capsys.readouterr()
+    )
+    assert line == "klvwb: invalid datum: poincare['ws']: bad series denominator [True]"
+
+
 def test_file_that_is_not_utf8_is_rejected_cleanly(tmp_path, capsys):
     path = tmp_path / "utf16.json"
     text = json.dumps(dm.builtin_datum("sl2-T").to_jsonable())

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from klvwb import cli
 from klvwb import datum as dm
 from klvwb import extseries as ext
+from klvwb import hmodule as hm
 from klvwb import klv
+from klvwb.coxeter import memoized
 from klvwb.errors import DatumError, DomainError
 from klvwb.laurent import (
     ONE,
@@ -21,7 +23,13 @@ from klvwb.laurent import (
     punpack,
     render_series,
 )
-from test_klv import assert_series_parity_matches_the_sweep, single_parity
+from test_klv import (
+    _GATE_BYPASS_DATUMS,
+    _PERTURBATIONS,
+    _perturbed,
+    assert_series_parity_matches_the_sweep,
+    single_parity,
+)
 
 
 def series(num, den):
@@ -128,6 +136,96 @@ def test_unknown_parameter_rejected():
         ext.ic_cohomology(d, "nope")
 
 
+# --- Q read off P against the triangular solve -----------------------------
+
+
+@memoized
+def _solved_q_columns(d):
+    """Oracle: Q by solving each self-dual column over the unitriangular
+    costandard table, top down, {gamma: {eps: Q[eps, gamma] kernel dict}}."""
+    table = klv.klv_table(d)
+    n_cols, _ = hm.costandard_table(d)
+    out = {}
+    for gamma in d.basis:
+        acc = {pid: dict(c._c) for pid, c in table.column(gamma.id).terms.items()}
+        coords = hm.unitriangular_coords(d, acc, n_cols.__getitem__)
+        out[gamma.id] = {eps: c._c for eps, c in coords.items()}
+    return out
+
+
+def _assert_q_matches_the_solve(d):
+    got, want = ext._q_columns(d), _solved_q_columns(d)
+    assert list(got) == list(want) == [p.id for p in d.basis]
+    for gamma, col in want.items():
+        assert got[gamma] == col, gamma
+    entries = [c for col in got.values() for c in col.values()]
+    assert len({id(c) for c in entries}) == len({frozenset(c.items()) for c in entries})
+
+
+_UP_TO_D4 = ["sl2-T", "sl2-N"] + [
+    f"hecke-regular:{label}" for label in ("A1", "A2", "B2", "G2", "A3", "C3", "D4")
+]
+
+
+@pytest.mark.parametrize("name", _UP_TO_D4)
+def test_q_read_off_p_matches_the_solve_over_builtins(name):
+    _assert_q_matches_the_solve(dm.builtin_datum(name))
+
+
+@pytest.mark.parametrize("name", ["hecke-regular:C3", "hecke-regular:D4"])
+def test_q_read_off_p_matches_the_solve_on_a_derived_costandard_table(name):
+    obj = dm.builtin_datum(name).to_jsonable()
+    del obj["costandard"]
+    d = dm.load_datum(obj)
+    _assert_q_matches_the_solve(d)
+    assert hm.costandard_table(d)[1] == "derived"
+
+
+def test_q_read_off_p_matches_the_solve_on_the_wide_pack_dump():
+    # the dump of test_a_weight_too_wide_to_pack_is_refused: P[p0, wt] has
+    # a negative exponent, and the table is still self-dual
+    obj = dm.builtin_datum("sl2-T").to_jsonable()
+    obj["costandard"]["wt"]["p0"] = "q^-999999-q^1000000"
+    d = dm.load_datum(obj)
+    _assert_q_matches_the_solve(d)
+    assert ext._q_columns(d)["wt"]["p0"] == {1000000: 1}
+
+
+@settings(deadline=None, max_examples=100)
+@given(data=st.data())
+def test_q_read_off_p_matches_the_solve_on_perturbed_tables(data):
+    # about one perturbed table in ten validates, so draw candidates until
+    # one does, rather than filtering whole examples
+    for _ in range(40):
+        name = data.draw(st.sampled_from(_GATE_BYPASS_DATUMS))
+        pids = st.sampled_from([p.id for p in dm.builtin_datum(name).basis])
+        polys = st.sampled_from(_PERTURBATIONS).map(parse_poly)
+        bump = st.tuples(pids, pids, polys, st.booleans())
+        bumps = data.draw(st.lists(bump, min_size=1, max_size=2))
+        d = _perturbed(name, bumps)
+        if dm.validate_datum(d).ok:
+            break
+    else:
+        assume(False)
+    _assert_q_matches_the_solve(d)
+
+
+@pytest.mark.parametrize("name", ["sl2-T", "sl2-N"] + [
+    f"hecke-regular:{label}" for label in ("A1", "A2", "A3", "B2", "G2", "C3")
+])
+def test_ext_is_symmetric_up_to_the_dimension_shift(name):
+    # Ext(gamma, tau) = q^(dim tau - dim gamma) Ext(tau, gamma), see ext_row
+    d = dm.builtin_datum(name)
+    rows = {tau.id: ext.ext_row(d, tau.id) for tau in d.basis}
+    for tau in d.basis:
+        for gamma in d.basis:
+            shift = LaurentPoly.monomial(1, tau.dim - gamma.dim)
+            forward = rows[tau.id][d.basis_index[gamma.id]].series
+            assert rows[gamma.id][d.basis_index[tau.id]].series == forward * shift, (
+                tau.id, gamma.id,
+            )
+
+
 # --- grouped sum against the term-by-term fold -----------------------------
 
 
@@ -143,7 +241,7 @@ def _fold(d, weights):
 
 def _fold_ext(d, tau, gamma):
     p_col = klv.klv_table(d).column(tau).coords
-    q_col = ext._q_columns(d)[gamma]
+    q_col = _solved_q_columns(d)[gamma]
     return _fold(d, (
         (eps.id, p_col[eps.id].bar() * LaurentPoly._raw(q_col[eps.id]))
         for eps in d.basis
@@ -152,7 +250,7 @@ def _fold_ext(d, tau, gamma):
 
 
 def _fold_ic(d, tau):
-    q_col = ext._q_columns(d)[tau]
+    q_col = _solved_q_columns(d)[tau]
     return _fold(d, (
         (eps.id, LaurentPoly._raw(q_col[eps.id])) for eps in d.basis if eps.id in q_col
     ))
@@ -392,7 +490,7 @@ def test_packing_width_bounds_every_weight(name):
     bits, _, _ = ext._packing(d)
     slot, _ = ext._slots(d)
     table = klv.klv_table(d)
-    q_cols = ext._q_columns(d)
+    q_cols = _solved_q_columns(d)
     top = 0
     for tau in d.basis:
         p_col = table.column(tau.id).coords
