@@ -233,11 +233,7 @@ def _cmd_ext(args, d: dm.OrbitDatum) -> int:
     elif args.tau:
         rows.append(extseries.series_row(extseries.ic_cohomology(d, args.tau), args.window))
     else:
-        for tau in d.basis:
-            for es in extseries.ext_row(d, tau.id):
-                rows.append(extseries.series_row(es, args.window))
-        for tau in d.basis:
-            rows.append(extseries.series_row(extseries.ic_cohomology(d, tau.id), args.window))
+        rows.extend(extseries.sweep_rows(d, args.window))
     _emit(args, _render_rows(args, ("tau", "gamma", "series", "first_degrees"), rows))
     return EXIT_OK
 

@@ -121,7 +121,9 @@ class _Descriptor:
         return out
 
     @classmethod
-    def from_json(cls, obj: dict, where: str):
+    def from_json(cls, obj: dict, where: str, poly=parse_poly):
+        """The descriptor of the file form obj at place where; poly parses a
+        polynomial text, for the cases that carry one."""
         values = {}
         for f in fields(cls):
             if f.name not in obj:
@@ -307,14 +309,14 @@ class ExplicitRow(_Descriptor):
         }
 
     @classmethod
-    def from_json(cls, obj: dict, where: str):
+    def from_json(cls, obj: dict, where: str, poly=parse_poly):
         if "coeffs" not in obj:
             raise DatumFormatError(f"{where}: descriptor missing field 'coeffs'")
         coeffs = obj["coeffs"]
         if not isinstance(coeffs, dict):
             raise DatumFormatError(f"{where}: 'coeffs' must be an object")
         return cls(
-            coeffs=tuple((pid, parse_poly(text)) for pid, text in sorted(coeffs.items()))
+            coeffs=tuple((pid, poly(text)) for pid, text in sorted(coeffs.items()))
         )
 
     def targets(self):
@@ -480,6 +482,12 @@ def load_datum(source) -> OrbitDatum:
     Schema-level problems (malformed fields, duplicate ids, dangling
     references, missing action rows) raise here; semantic problems are the
     business of validate_datum.
+
+    Each distinct polynomial text of the file is parsed once: costandard
+    entries, Poincare numerators and ExplicitRow coefficients with equal
+    texts share one LaurentPoly, which nothing mutates.  A text that fails
+    to parse is not kept, so it raises at its first place with the message
+    of a fresh parse.
     """
     if isinstance(source, (str, bytes)):
         try:
@@ -568,6 +576,17 @@ def load_datum(source) -> OrbitDatum:
         param_by_id[pid] = Parameter(pid, porb, psys, orbit_by_id[porb].dim)
     ids = param_by_id.keys()
 
+    polys: dict[str, LaurentPoly] = {}
+
+    def poly(text):
+        """parse_poly once per distinct text; a failure is raised, never kept."""
+        if type(text) is not str:
+            return parse_poly(text)
+        p = polys.get(text)
+        if p is None:
+            p = polys[text] = parse_poly(text)
+        return p
+
     def descriptor(place, desc_obj):
         if not isinstance(desc_obj, dict) or "case" not in desc_obj:
             raise DatumFormatError(f"{place}: descriptor must be an object with 'case'")
@@ -575,15 +594,15 @@ def load_datum(source) -> OrbitDatum:
         cls = DESCRIPTORS.get(case) if isinstance(case, str) else None
         if cls is None:
             raise DatumFormatError(f"{place}: unknown descriptor case {case!r}")
-        desc = cls.from_json(desc_obj, place)
+        desc = cls.from_json(desc_obj, place, poly)
         for target in desc.targets():
             if target not in ids:
                 raise DatumFormatError(f"{place}: dangling parameter {target!r}")
         return desc
 
     def costandard_column(place, rows):
-        entry = _by_param(rows, place, ids, lambda _, text: parse_poly(text))
-        return {row: poly for row, poly in entry.items() if not poly.is_zero()}
+        entry = _by_param(rows, place, ids, lambda _, text: poly(text))
+        return {row: p for row, p in entry.items() if not p.is_zero()}
 
     actions_in = obj["actions"]
     if not isinstance(actions_in, dict):
@@ -603,7 +622,7 @@ def load_datum(source) -> OrbitDatum:
     tables = {}
     for name, read, what in (
         ("costandard", costandard_column, "column(s) "),
-        ("poincare", lambda _, sobj: parse_series(sobj), ""),
+        ("poincare", lambda _, sobj: parse_series(sobj, poly), ""),
     ):
         if name in obj:
             keyed = f"{name!r} must be an object keyed by parameter"

@@ -80,10 +80,16 @@ Two tables live per datum, in d._cache, so d._cache.clear() frees them.
 The series table maps the nonzero (slot, packed weight) terms of a series,
 in slot order, to its PoincareSeries: each distinct series is decoded,
 multiplied and reduced once per datum, and every pair and IC series with
-those terms shares the object.  The render table maps (series, offset,
-window) to the rendered text and degrees, so each is expanded and rendered
-once per datum.  Packed keys are small: a weight of a few dozen terms is
-one int of a few hundred bits.
+those terms shares the object.  The render table maps each series object
+to its render_series text and each (series, offset, window) to its degree
+line, so a series is rendered once per datum and a line is made once.  A
+new line expands its series afresh: keeping the expansions would hold a
+window of coefficients per series.  Packed keys are small: a weight of a
+few dozen terms is one int of a few hundred bits.
+
+sweep_rows, the full sweep of the CLI, reads its rows straight off _pair
+and _ic_row through the render table, with no ExtSeries per pair; ext_row
+shares its row generator.
 """
 
 from __future__ import annotations
@@ -127,11 +133,13 @@ class ExtSeries:
     def dims(self, window: int) -> dict[int, int]:
         """{cohomological degree: dimension} for series exponents 0..window
         (negative exponents of the numerator, if any, are included)."""
-        lo = 0
-        if not self.series.num.is_zero():
-            lo = min(0, self.series.num.degree_window()[0])
-        exp = self.series.expand(lo, window)
-        return {2 * m - self.degree_offset: c for m, c in sorted(exp.items()) if c}
+        return _dims(self.series, self.degree_offset, window)
+
+
+def _dims(series: PoincareSeries, offset: int, window: int) -> dict[int, int]:
+    lo = min(0, min(series.num._c, default=0))
+    exp = series.expand(lo, window)
+    return {2 * m - offset: c for m, c in sorted(exp.items()) if c}
 
 
 @memoized
@@ -285,6 +293,14 @@ def _bar_column(d: dm.OrbitDatum, tau: str) -> dict[str, int]:
     return {eps: ppack(pbar(p._c), bits, lo) for eps, p in coords.items()}
 
 
+def _row(d: dm.OrbitDatum, tau: str):
+    """(gamma, Ext(tau, gamma) series, degree offset) for every gamma in
+    basis order, from one pass over P[., tau] and the Q rows."""
+    dim = d.param_by_id[tau].dim
+    for gamma, total in zip(d.basis, _pair(d, _bar_column(d, tau))):
+        yield gamma.id, total, gamma.dim - dim
+
+
 def ext_row(d: dm.OrbitDatum, tau: str) -> list[ExtSeries]:
     """Ext(tau, gamma) for every gamma in basis order, from one pass over
     P[., tau] and the Q rows.
@@ -293,12 +309,8 @@ def ext_row(d: dm.OrbitDatum, tau: str) -> list[ExtSeries]:
     duality each term is q^(dim gamma - dim eps) bar(P[eps, tau]
     P[eps, gamma]) pi_eps, symmetric in tau and gamma but for the shift."""
     _known(d, tau)
-    dim = d.param_by_id[tau].dim
     _, memo = _tables(d)
-    return [
-        ExtSeries(tau, gamma.id, total, gamma.dim - dim, memo)
-        for gamma, total in zip(d.basis, _pair(d, _bar_column(d, tau)))
-    ]
+    return [ExtSeries(tau, gamma, total, offset, memo) for gamma, total, offset in _row(d, tau)]
 
 
 def ext_poincare(d: dm.OrbitDatum, tau: str, gamma: str) -> ExtSeries:
@@ -323,16 +335,36 @@ def ic_cohomology(d: dm.OrbitDatum, tau: str) -> ExtSeries:
     return ExtSeries(tau, None, total, d.param_by_id[tau].dim, _tables(d)[1])
 
 
-def series_row(es: ExtSeries, window: int = 10) -> tuple[str, str, str, str]:
-    """(tau, gamma, series, first_degrees) with bit-stable formatting.
-
-    The rendering is made once per (series, offset, window) among the
-    ExtSeries sharing es.memo, and the result is shared, read only."""
-    key = (id(es.series), es.degree_offset, window)
-    hit = es.memo.get(key)
+def _render(memo: dict, series: PoincareSeries, offset: int, window: int) -> tuple[str, str]:
+    """(series text, first_degrees) through the render table memo, which maps
+    id(series) to (series, text) and (id(series), offset, window) to the
+    degree line, each made once and shared, read only."""
+    hit = memo.get(id(series))
     if hit is None:
-        degrees = ";".join(f"{deg}:{dim}" for deg, dim in sorted(es.dims(window).items()))
         # holding the series keeps its id from being reused while the memo lives
-        hit = es.memo[key] = (es.series, render_series(es.series), degrees)
-    _, text, degrees = hit
+        hit = memo[id(series)] = (series, render_series(series))
+    key = (id(series), offset, window)
+    degrees = memo.get(key)
+    if degrees is None:
+        dims = _dims(series, offset, window).items()
+        degrees = memo[key] = ";".join(f"{deg}:{dim}" for deg, dim in dims)
+    return hit[1], degrees
+
+
+def series_row(es: ExtSeries, window: int = 10) -> tuple[str, str, str, str]:
+    """(tau, gamma, series, first_degrees) with bit-stable formatting,
+    rendered through es.memo."""
+    text, degrees = _render(es.memo, es.series, es.degree_offset, window)
     return (es.tau, es.gamma if es.gamma is not None else "", text, degrees)
+
+
+def sweep_rows(d: dm.OrbitDatum, window: int = 10):
+    """The series_row of every ext_row in basis order, then of every
+    ic_cohomology, yielded one row at a time.  The rows come from _pair and
+    _ic_row through the datum's render table, with no ExtSeries between."""
+    _, memo = _tables(d)
+    for tau in d.basis:
+        for gamma, total, offset in _row(d, tau.id):
+            yield (tau.id, gamma, *_render(memo, total, offset, window))
+    for tau, total in zip(d.basis, _ic_row(d)):
+        yield (tau.id, "", *_render(memo, total, tau.dim, window))

@@ -443,15 +443,17 @@ MAX_EXPANSION_SPAN = 100_000
 class PoincareSeries:
     """num / prod_i (1 - q^{a_i}) with exact arithmetic.
 
-    Construction tries each denominator factor once, in increasing order,
-    and cancels it if it divides the numerator exactly.  Equal series can
+    Construction takes the denominator factors in increasing order and
+    cancels each one that divides the numerator exactly.  Equal series can
     therefore render differently: (1+q)/(1-q^2) keeps its factor although
     it equals 1/(1-q).  Equality is decided by cross-multiplication, never
     by truncation or by the rendered form.
 
     Reduction is idempotent: a factor that does not divide a numerator
     divides none of its quotients, so rebuilding a series from its num and
-    den changes nothing, and adding zero may return the other operand.
+    den changes nothing, and adding zero may return the other operand.  For
+    the same reason the repeats of a factor that failed are kept untried:
+    1/(1-q)^3 costs one trial division, not three.
     When every factor has one exponent a, the form is canonical: (1 - q^a)
     is cancelled as often as it divides, leaving the lowest terms.
     """
@@ -624,9 +626,12 @@ def _divide_once(num: LaurentPoly, a: int):
 
 
 def _reduce(num: LaurentPoly, den: list[int]):
+    """Cancel each factor of the sorted den that divides num exactly; the
+    repeats of a factor that failed sit next to it and are kept untried
+    (PoincareSeries)."""
     out = []
     for a in den:
-        q = _divide_once(num, a)
+        q = None if out and out[-1] == a else _divide_once(num, a)
         if q is None:
             out.append(a)
         else:
@@ -649,11 +654,12 @@ def render_series(s: PoincareSeries) -> str:
     return f"{num}/{''.join(parts)}"
 
 
-def parse_series(obj) -> PoincareSeries:
-    """Build from the file form {'num': '1', 'den': [1, 2]}."""
+def parse_series(obj, poly=parse_poly) -> PoincareSeries:
+    """Build from the file form {'num': '1', 'den': [1, 2]}; poly parses the
+    numerator text."""
     if not isinstance(obj, dict) or set(obj) - {"num", "den"}:
         raise DomainError(f"bad series object {obj!r}")
-    num = parse_poly(obj.get("num", "1"))
+    num = poly(obj.get("num", "1"))
     den = obj.get("den", [])
     if not isinstance(den, list) or not all(type(a) is int for a in den):
         raise DomainError(f"bad series denominator {den!r}")

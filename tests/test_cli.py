@@ -55,6 +55,8 @@ def test_list_builtins(capsys):
              "--basis", "C"],
             "hrB2_act_C121.txt",
         ),
+        (["ext", "--builtin", "hecke-regular:B2", "--format", "json"], "hrB2_ext.json"),
+        (["ext", "--builtin", "hecke-regular:B2", "--format", "table"], "hrB2_ext.txt"),
     ],
 )
 def test_golden_outputs(tmp_path, argv, golden):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from klvwb import checks, extseries, klv
 from klvwb import datum as dm
 from klvwb import hmodule as hm
 from klvwb.errors import (
@@ -85,6 +86,60 @@ def test_round_trip_serialization():
     # the file form of every descriptor family, byte for byte
     dumps = "".join(dm.dump_datum(d) for d in datums)
     assert dumps == (GOLDEN / "descriptor_dumps.txt").read_text(encoding="utf-8")
+
+
+def test_equal_polynomial_texts_share_one_object():
+    obj = dm.builtin_datum("sl2-T").to_jsonable()
+    obj["actions"]["1"]["ws"] = {"case": "ExplicitRow", "coeffs": {"ws": "1", "wt": " 1"}}
+    d = dm.load_datum(json.dumps(obj))
+    ones = [d.costandard[pid][pid] for pid in d.costandard]
+    ones += [d.poincare[pid].num for pid in d.poincare]
+    coeffs = dict(d.descriptor(0, "ws").coeffs)
+    ones.append(coeffs["ws"])
+    assert len(ones) == 9 and len({id(p) for p in ones}) == 1
+    assert d.costandard["wt"]["p0"] is d.costandard["wt"]["pInf"]
+    # an equal polynomial under another text is its own object
+    assert coeffs["wt"] == ONE and coeffs["wt"] is not ones[0]
+
+
+_SHARING_DUMPS = ["sl2-T", "sl2-N", "hecke-regular:A2", "hecke-regular:B2", "hecke-regular:C3"]
+
+
+@pytest.mark.parametrize("name", _SHARING_DUMPS)
+def test_a_loaded_dump_renders_back_to_its_file_form(name):
+    obj = dm.builtin_datum(name).to_jsonable()
+    assert dm.load_datum(json.dumps(obj)).to_jsonable() == obj
+
+
+@pytest.mark.parametrize(
+    "first, second, message",
+    [
+        ("1-", "q^", "cannot parse polynomial '1-' at offset 1"),
+        ("1-", "1-", "cannot parse polynomial '1-' at offset 1"),
+        (7, "1-", "polynomial must be a string, got 7"),
+        ("", "x", "empty polynomial string"),
+    ],
+)
+def test_the_first_bad_costandard_entry_is_reported(first, second, message):
+    obj = dm.builtin_datum("sl2-T").to_jsonable()
+    obj["costandard"]["wt"]["p0"] = first
+    obj["costandard"]["wt"]["pInf"] = second
+    with pytest.raises(DatumFormatError) as exc:
+        dm.load_datum(json.dumps(obj))
+    assert str(exc.value) == f"costandard['wt']['p0']: {message}"
+
+
+@pytest.mark.parametrize("name", [*_SHARING_DUMPS, "compact-explicit"])
+def test_computing_on_a_loaded_dump_leaves_it_unchanged(name):
+    if name == "compact-explicit":
+        d = _compact_explicit_datum()
+    else:
+        d = dm.load_datum(json.dumps(dm.builtin_datum(name).to_jsonable()))
+    before = json.dumps(d.to_jsonable())
+    list(klv.klv_table(d).rows())
+    list(extseries.sweep_rows(d))
+    assert checks.run_check_suites(d, window=10).ok
+    assert json.dumps(d.to_jsonable()) == before
 
 
 def test_load_rejects_missing_action_row():

@@ -1,5 +1,6 @@
 import functools
 import json
+import random
 
 import pytest
 from hypothesis import assume, given, settings
@@ -23,6 +24,7 @@ from klvwb.laurent import (
     punpack,
     render_series,
 )
+from test_hmodule import _relabelled
 from test_klv import (
     _GATE_BYPASS_DATUMS,
     _PERTURBATIONS,
@@ -504,31 +506,74 @@ def test_packing_width_bounds_every_weight(name):
     assert 0 < top < 1 << (bits - 1)
 
 
-def test_series_and_renders_are_shared_per_datum():
+def test_series_and_renders_are_shared_per_datum(monkeypatch):
     d = dm.builtin_datum("hecke-regular:A3")
-    rows = [ext.ext_row(d, tau.id) for tau in d.basis]
-    ics = [ext.ic_cohomology(d, tau.id) for tau in d.basis]
+    rendered = []
+
+    def counting(series):
+        rendered.append(series)
+        return render_series(series)
+
+    monkeypatch.setattr(ext, "render_series", counting)
+    rows = list(ext.sweep_rows(d))
     built, renders = ext._tables(d)
-    assert {id(es.memo) for row in rows for es in row} | {id(es.memo) for es in ics} == {
-        id(renders)
-    }
-    owners: dict = {}
-    for i, row in enumerate(rows):
-        for es in row:
-            owners.setdefault(id(es.series), set()).add(i)
-    assert len(owners) <= len(built)
-    assert max(map(len, owners.values())) > 1  # one series object serves several rows
-    for row in rows:
-        for es in row:
-            ext.series_row(es)
-    rendered = len(renders)
-    assert rendered == len({(id(es.series), es.degree_offset) for row in rows for es in row})
-    for row in rows:
-        for es in row:
-            ext.series_row(es)
-    assert len(renders) == rendered
+    texts = {key for key in renders if isinstance(key, int)}
+    # each distinct series object is rendered once, and every pair and IC
+    # series of the sweep reads one of the series table's objects
+    assert len(rendered) == len({id(s) for s in rendered}) == len(built) == len(texts)
+    assert {id(s) for s in rendered} == {id(s) for s in built.values()} == texts
+    assert len(rows) > len(renders) - len(texts) > len(built)
+    # the API shares the table: another window adds degree lines, no text
+    ics = [ext.ic_cohomology(d, tau.id) for tau in d.basis]
+    assert {id(es.memo) for es in ics} == {id(renders)}
+    api = _api_rows(d, 3)
+    assert len(rendered) == len(built)
+    # a second sweep, at either window, adds no entry to either table
+    before = (len(built), len(renders))
+    assert list(ext.sweep_rows(d)) == rows
+    assert list(ext.sweep_rows(d, 3)) == api
+    assert (len(built), len(renders)) == before
+    assert len(rendered) == len(built)
     d._cache.clear()
     assert ext._tables(d) == ({}, {})
+
+
+_SWEEP_DATUMS = [
+    "sl2-T",
+    "sl2-N",
+    *(f"hecke-regular:{t}" for t in ("A1", "A2", "B2", "G2", "A3", "C3")),
+]
+
+
+def _api_rows(d, window):
+    """series_row over ext_row of every tau in basis order, then the IC rows."""
+    rows = [ext.series_row(es, window) for tau in d.basis for es in ext.ext_row(d, tau.id)]
+    return rows + [ext.series_row(ext.ic_cohomology(d, tau.id), window) for tau in d.basis]
+
+
+@pytest.mark.parametrize("window", [0, 3, 10])
+@pytest.mark.parametrize(
+    "name, seed", [(name, None) for name in _SWEEP_DATUMS] + [("hecke-regular:C3", 5)]
+)
+def test_the_cli_sweep_matches_the_api(tmp_path, name, seed, window):
+    if seed is None:
+        source = ["--builtin", name]
+        fresh = functools.partial(dm.builtin_datum, name)
+    else:
+        text = json.dumps(_relabelled(dm.builtin_datum(name).to_jsonable(), random.Random(seed)))
+        (tmp_path / "dump.json").write_text(text, encoding="utf-8")
+        source = ["--datum", str(tmp_path / "dump.json")]
+        fresh = functools.partial(dm.load_datum, text)
+    out = tmp_path / "ext.csv"
+    argv = ["ext", *source, "--format", "csv", "--window", str(window), "--out", str(out)]
+    assert cli.main(argv) == 0
+    header, *lines = out.read_text(encoding="utf-8").splitlines()
+    assert header == "tau,gamma,series,first_degrees"
+    want = _api_rows(fresh(), window)
+    assert [tuple(line.split(",")) for line in lines] == want
+    # on one datum the generator and the API share the tables, in either order
+    d = fresh()
+    assert list(ext.sweep_rows(d, window)) == want == _api_rows(d, window)
 
 
 def test_a_weight_too_wide_to_pack_is_refused(tmp_path, capsys):

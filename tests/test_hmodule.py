@@ -175,6 +175,11 @@ def _relabelled(obj, rng):
         for s, rows in obj["actions"].items()
     }
     obj["poincare"] = {names[pid]: v for pid, v in shuffled(obj["poincare"].items())}
+    if "costandard" in obj:
+        obj["costandard"] = {
+            names[col]: {names[row]: c for row, c in shuffled(rows.items())}
+            for col, rows in shuffled(obj["costandard"].items())
+        }
     return obj
 
 

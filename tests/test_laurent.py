@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from klvwb import laurent
 from klvwb.errors import DomainError
 from klvwb.laurent import (
     MAX_EXPANSION_SPAN,
@@ -290,6 +291,55 @@ def test_series_reduction_matches_multiply_back_oracle(num, den, cancel, other, 
         )
         got = s + t
         assert (got.num, got.den) == _multiply_back_reduce(total, common)
+
+
+def _try_every_factor(num, den):
+    """The reduction that tries every factor of the sorted den, repeats of a
+    factor that failed included."""
+    out = []
+    for a in sorted(den):
+        quot = _divide_once(num, a)
+        if quot is None:
+            out.append(a)
+        else:
+            num = quot
+    return num, tuple(out)
+
+
+@settings(deadline=None)
+@given(
+    base=sparse_polys,
+    den=st.sampled_from([[1, 1, 1], [2, 2, 3], [1, 2, 2, 2], [3, 1, 3]])
+    | st.lists(st.integers(1, 4), max_size=5),
+    times=st.lists(st.integers(0, 2), min_size=4, max_size=4),
+)
+def test_reduction_skipping_failed_repeats_matches_trying_every_factor(base, den, times):
+    # each distinct factor divides the numerator zero, one or two times
+    # (more where base happens to be divisible too)
+    num = base * _den_poly(
+        [a for a, k in zip(sorted(set(den)), times) for _ in range(k)]
+    )
+    s = PoincareSeries(num, den)
+    want_num, want_den = _try_every_factor(num, den)
+    assert s.num._c == want_num._c
+    assert s.den == want_den
+
+
+def test_a_failed_factor_is_tried_once(monkeypatch):
+    calls = []
+
+    def counting(num, a):
+        calls.append(a)
+        return _divide_once(num, a)
+
+    monkeypatch.setattr(laurent, "_divide_once", counting)
+    assert PoincareSeries(ONE, [1, 1, 1]).den == (1, 1, 1)
+    assert calls == [1]
+    calls.clear()
+    # (1-q)^2 divides twice, then the third (1-q) fails once and the q^2 factors once
+    s = PoincareSeries(_den_poly([1, 1]), [2, 1, 2, 1, 1])
+    assert (s.num, s.den) == (ONE, (1, 2, 2))
+    assert calls == [1, 1, 1, 2]
 
 
 @settings(deadline=None)
