@@ -21,7 +21,7 @@ coxeter.memoized.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import Field, dataclass, fields
 
 from . import coxeter as cox
 from . import hecke
@@ -108,6 +108,7 @@ class _Descriptor:
     tuple field an unordered pair.  ExplicitRow overrides what that rules out.
     """
 
+    _fields: tuple[Field, ...] = ()  # set by _family
     _ascent_fields: tuple[str, ...] = ()
     # the T_s column by field: (field, coefficient), each parameter the field
     # names getting the coefficient; None stands for the row's own parameter
@@ -115,7 +116,7 @@ class _Descriptor:
 
     def to_json(self) -> dict:
         out = {"case": type(self).__name__}
-        for f in fields(self):
+        for f in self._fields:
             value = getattr(self, f.name)
             out[f.name] = list(value) if isinstance(value, tuple) else value
         return out
@@ -125,7 +126,7 @@ class _Descriptor:
         """The descriptor of the file form obj at place where; poly parses a
         polynomial text, for the cases that carry one."""
         values = {}
-        for f in fields(cls):
+        for f in cls._fields:
             if f.name not in obj:
                 raise DatumFormatError(f"{where}: descriptor missing field {f.name!r}")
             value = obj[f.name]
@@ -150,7 +151,7 @@ class _Descriptor:
 
     def targets(self) -> tuple[str, ...]:
         """Every parameter the descriptor references."""
-        return self._ids(f.name for f in fields(self))
+        return self._ids(f.name for f in self._fields)
 
     def ascents(self, d: "OrbitDatum", dim: int) -> tuple[str, ...]:
         """Parameters the row ascends to, for a row on an orbit of dimension dim."""
@@ -174,12 +175,19 @@ class _Descriptor:
         """Append to row.problems where the rows this one links to disagree."""
 
 
-@dataclass(frozen=True)
+def _family(cls):
+    """A descriptor family: a frozen dataclass, its fields read once."""
+    cls = dataclass(frozen=True)(cls)
+    cls._fields = fields(cls)
+    return cls
+
+
+@_family
 class CompactG(_Descriptor):
     _column = ((None, Q),)
 
 
-@dataclass(frozen=True)
+@_family
 class AscentU(_Descriptor):
     up: str
     _ascent_fields = ("up",)
@@ -194,7 +202,7 @@ class AscentU(_Descriptor):
         row.mirrored(self.up, "AscentU", DescentU(down=row.pid))
 
 
-@dataclass(frozen=True)
+@_family
 class DescentU(_Descriptor):
     down: str
     _column = (("down", Q), (None, _Q_MINUS_1))
@@ -205,7 +213,7 @@ class DescentU(_Descriptor):
         row.mirrored(self.down, "DescentU", AscentU(up=row.pid))
 
 
-@dataclass(frozen=True)
+@_family
 class AscentT(_Descriptor):
     cross: str
     up: str
@@ -232,7 +240,7 @@ class AscentT(_Descriptor):
         )
 
 
-@dataclass(frozen=True)
+@_family
 class DescentT(_Descriptor):
     downs: tuple[str, str]
     _column = (("downs", _Q_MINUS_1), (None, _Q_MINUS_2))
@@ -248,12 +256,12 @@ class DescentT(_Descriptor):
         row.mirrored(d2, "DescentT", AscentT(cross=d1, up=row.pid))
 
 
-@dataclass(frozen=True)
+@_family
 class DescentTNonParity(_Descriptor):
     _column = ((None, _MINUS_ONE),)
 
 
-@dataclass(frozen=True)
+@_family
 class AscentN(_Descriptor):
     ups: tuple[str, str]
     _ascent_fields = ("ups",)
@@ -273,7 +281,7 @@ class AscentN(_Descriptor):
         row.mirrored(u2, "AscentN", DescentN(partner=u1, down=row.pid))
 
 
-@dataclass(frozen=True)
+@_family
 class DescentN(_Descriptor):
     partner: str
     down: str
@@ -296,7 +304,7 @@ class DescentN(_Descriptor):
         )
 
 
-@dataclass(frozen=True)
+@_family
 class ExplicitRow(_Descriptor):
     """The escape hatch: the T_s column given entry by entry."""
 
@@ -761,23 +769,11 @@ def validate_datum(d: OrbitDatum) -> ValidationReport:
                 problems.append(f"s{s + 1}* not idempotent at {o.id}: {w} -> {ww}")
     checks.append(CheckResult.of("sstar-monotone", problems))
 
-    # (3) quadratic relation for each generator matrix
+    # (3) quadratic relation for each generator matrix, and (4) braid
+    # relations for all generator pairs behind it: each tested where the
+    # ascent induction of hmodule starts, and everywhere on any failure
     checks.append(CheckResult.of("quadratic-relation", hmodule.quadratic_problems(d)))
-
-    # (4) braid relations for all generator pairs, on kernel dicts
-    table = hmodule.build_action_table(d)
-    problems = []
-    for s in range(d.coxeter.rank):
-        for t in range(s + 1, d.coxeter.rank):
-            m = d.coxeter.coxeter_m(s, t)
-            for p in d.params:
-                left = right = {p.id: ONE._c}
-                for k in range(m):
-                    left = table.apply_terms(s if k % 2 == 0 else t, left)
-                    right = table.apply_terms(t if k % 2 == 0 else s, right)
-                if left != right:
-                    problems.append(f"braid (s{s + 1}, s{t + 1}) fails at {p.id}")
-    checks.append(CheckResult.of("braid-relations", problems))
+    checks.append(CheckResult.of("braid-relations", hmodule.braid_problems(d)))
 
     # (5) link mirroring between ascent and descent descriptors
     problems = []
@@ -836,32 +832,22 @@ def _check_costandard(d: OrbitDatum) -> CheckResult:
 
 
 def _involutive_by_generators(d: OrbitDatum) -> bool:
-    """beta^2 = id on every m_p, certified from the parameters the U- and
-    T-ascents do not reach; False when that does not apply or fails.
+    """beta^2 = id on every m_p, certified from hmodule.unreached over
+    every generator; False when that does not apply or fails.
 
-    When hmodule.compatibility_problems is clean, which it certifies by
-    ascent induction from a few (p, s) behind the quadratic relation, beta^2
-    is Z[q, q^-1]-linear and commutes with every T_s.  An ascent
-    T_s m_src = m_up + sum of m_other then gives beta^2(m_up) = m_up once
-    src and the others are fixed.  So
-    beta^2 is tested directly only on parameters that no such ascent from
-    fixed parameters reaches, in basis order: for hecke-regular datums, on e.
+    When hmodule.compatibility_problems is clean, beta^2 is
+    Z[q, q^-1]-linear and commutes with every T_s, so the ascent induction
+    of hmodule carries beta^2 = id from those parameters to all: for
+    hecke-regular datums, from e alone.
     """
     from . import hmodule
 
     if any(hmodule.compatibility_problems(d).values()):
         return False
-    sources = hmodule.ascent_sources(d)
-    fixed: set[str] = set()
-    for p in d.basis:
-        if not any(
-            src in fixed and fixed.issuperset(others)
-            for _, src, others in sources.get(p.id, ())
-        ):
-            v = hmodule.basis_vector(d, p.id)
-            if hmodule.beta(hmodule.beta(v, d), d) != v:
-                return False
-        fixed.add(p.id)
+    for pid in hmodule.unreached(d, tuple(range(d.coxeter.rank))):
+        v = hmodule.basis_vector(d, pid)
+        if hmodule.beta(hmodule.beta(v, d), d) != v:
+            return False
     return True
 
 

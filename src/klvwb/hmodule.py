@@ -22,16 +22,33 @@ ascent_sources indexes those U- and T-ascents by target; the derivation
 above and the self-dual basis solver both read it.  Every table here is
 built once per datum, through coxeter.memoized.
 
-compatibility_problems tests beta(T_s m) = bar(T_s) beta(m), the law the
-solver's ascent recursion rests on, by ascent induction.  Take an s-ascent
-row T_s m_src = m_up + sum of m_o, and let the quadratic relation
-T_s^2 = (q - 1) T_s + q hold on every m_p; then
-bar(T_s)^2 = (q^-1 - 1) bar(T_s) + q^-1 holds too.  If compatibility holds
-at (src, s) and at every (o, s), both sides at (up, s) reduce to
-bar(T_s)^2 beta(m_src) - sum of bar(T_s) beta(m_o), so it holds at
-(up, s).  Behind a clean quadratic_problems, then, only the (p, s) that no
-such row induces are summed, nor the (src, s) a derived table was built
-from; on any failure every (p, s) is.
+Four relations are checked by one ascent induction.  Say a law K (an
+additive map that must vanish on every m_p) is carried by T_s: K(T_s v) = 0
+whenever K(v) = 0.  An s-ascent row T_s m_src = m_up + sum of m_o then
+gives K(m_up) = K(T_s m_src) - sum of K(m_o), which vanishes once K holds
+at src and at each o.  unreached(d, gens) lists, in basis order, the
+parameters that no such row with s in gens reaches from parameters
+before them; basis order makes the induction well founded, so a law
+carried by every T_s of gens holds everywhere once it holds there.  Each
+check below tests only those parameters, and on any failure tests every
+one, so its problem lines are the same either way.
+
+- quadratic_problems, gens (s,): Q_s = (T_s + 1)(T_s - q) is a
+  polynomial in T_s, so Q_s T_s = T_s Q_s.
+- braid_problems, gens (s, t), behind a clean quadratic_problems: let
+  D = Delta_st - Delta_ts, the two alternating products of m_st factors
+  (Delta_st beginning with T_s on the left), and s' = w0 s w0 in the
+  dihedral group (s' = s when m_st is even, t when it is odd).  The
+  quadratic relation gives D T_s' = (q - 1) D - T_s D, and likewise
+  D T_t' = (q - 1) D - T_t D, so ker D is stable under T_s and T_t.
+- compatibility_problems, gens (s,), behind a clean quadratic_problems:
+  beta(T_s v) = bar(T_s) beta(v), the law the solver's ascent recursion
+  rests on.  Where it holds at v, T_s^2 = (q - 1) T_s + q turns both
+  sides of beta(T_s^2 v) = bar(T_s) beta(T_s v) into
+  bar(T_s)^2 beta(v).  A (src, s) that _propagate took for a derived
+  table holds by construction and is not summed either.
+- datum._involutive_by_generators, every generator, behind compatibility:
+  beta^2 is then Z[q, q^-1]-linear and commutes with every T_s.
 
 unitriangular_coords is the one top-down back substitution: klv expands
 C_w . L_tau in the self-dual basis with it, reads the columns no ascent
@@ -40,11 +57,23 @@ seeds off the costandard table, and certifies the ascent-reached ones.
 
 from __future__ import annotations
 
+from functools import partial
+
 from . import datum as dm
 from .coxeter import CoxElt, memoized
 from .errors import DatumError, MissingCostandard, SystemMismatch
 from .hecke import HeckeElt, kl_basis, parse_token
-from .laurent import ONE, Combination, LaurentPoly, pbar, pmonmul, pneg, render_poly, vaccum
+from .laurent import (
+    ONE,
+    Combination,
+    LaurentPoly,
+    paccum_scaled,
+    pbar,
+    pmonmul,
+    pneg,
+    render_poly,
+    vaccum,
+)
 
 _QINV = LaurentPoly.monomial(1, -1)
 _QINV_MINUS_1 = _QINV - ONE
@@ -156,22 +185,80 @@ def ascent_sources(d: dm.OrbitDatum) -> dict[str, list[tuple[int, str, tuple[str
 
 
 @memoized
+def unreached(d: dm.OrbitDatum, gens: tuple[int, ...]) -> tuple[str, ...]:
+    """The parameters, in basis order, that no U- or T-ascent row
+    T_s m_src = m_up + sum of m_o with s in gens reaches from parameters
+    before them: where the ascent induction over gens starts."""
+    index = d.basis_index
+    sources = ascent_sources(d)
+    return tuple(
+        p.id
+        for i, p in enumerate(d.basis)
+        if not any(
+            s in gens and all(index[x] < i for x in (src, *others))
+            for s, src, others in sources.get(p.id, ())
+        )
+    )
+
+
+def _failing(d: dm.OrbitDatum, gens: tuple[int, ...], fails, induct: bool = True) -> list[str]:
+    """The parameters, in d.params order, where fails(pid) holds, for a law
+    the T_s of gens carry: none when induct and none of unreached(d, gens)
+    fails, else each parameter is tested."""
+    if induct and not any(map(fails, unreached(d, gens))):
+        return []
+    return [p.id for p in d.params if fails(p.id)]
+
+
+@memoized
 def quadratic_problems(d: dm.OrbitDatum) -> list[str]:
     """Where (T_s + 1)(T_s - q) m_p != 0, s-major and then in d.params
-    order: T_s^2 m_p - (q - 1) T_s m_p - q m_p summed on kernel dicts."""
+    order, by the ascent induction over (s,)."""
     table = build_action_table(d)
-    problems = []
-    for s, cols in table.columns.items():
-        for p in d.params:
-            column = cols[p.id]
-            acc: dict[str, dict] = {}
-            for t, a in column:
-                vaccum(acc, a._c, cols[t])
-            vaccum(acc, _ONE_MINUS_Q, column)
-            vaccum(acc, _MINUS_Q, ((p.id, ONE),))
-            if acc:
-                problems.append(f"(T+1)(T-q) != 0 at (s{s + 1}, {p.id})")
-    return problems
+    return [
+        f"(T+1)(T-q) != 0 at (s{s + 1}, {pid})"
+        for s in range(d.coxeter.rank)
+        for pid in _failing(d, (s,), partial(_quadratic_defect, table, s))
+    ]
+
+
+def _quadratic_defect(table: ActionTable, s: int, pid: str) -> dict:
+    """T_s^2 m_p - (q - 1) T_s m_p - q m_p on kernel dicts."""
+    cols = table.columns[s]
+    column = cols[pid]
+    acc: dict[str, dict] = {}
+    for t, a in column:
+        vaccum(acc, a._c, cols[t])
+    vaccum(acc, _ONE_MINUS_Q, column)
+    vaccum(acc, _MINUS_Q, ((pid, ONE),))
+    return acc
+
+
+@memoized
+def braid_problems(d: dm.OrbitDatum) -> list[str]:
+    """Where T_s T_t ... m_p != T_t T_s ... m_p, m_st factors a side, for
+    s < t and then in d.params order, by the ascent induction over (s, t)
+    behind a clean quadratic_problems."""
+    table = build_action_table(d)
+    induct = not quadratic_problems(d)
+    rank = d.coxeter.rank
+    return [
+        f"braid (s{s + 1}, s{t + 1}) fails at {pid}"
+        for s in range(rank)
+        for t in range(s + 1, rank)
+        for pid in _failing(
+            d, (s, t), partial(_braid_fails, table, s, t, d.coxeter.coxeter_m(s, t)), induct
+        )
+    ]
+
+
+def _braid_fails(table: ActionTable, s: int, t: int, m: int, pid: str) -> bool:
+    """Whether Delta_st m_p != Delta_ts m_p, m factors a side."""
+    left = right = {pid: ONE._c}
+    for k in range(m):
+        left = table.apply_terms(s if k % 2 == 0 else t, left)
+        right = table.apply_terms(t if k % 2 == 0 else s, right)
+    return left != right
 
 
 @memoized
@@ -237,7 +324,11 @@ def _candidate(d, table: ActionTable, cols, p, s: int, src: str, others) -> dict
     for r, c in source:
         vaccum(acc, pmonmul(c._c, 1, shift - 1), table.columns[s][r])
     for r, c in source:
-        vaccum(acc, pmonmul(c._c, 1, shift), ((r, _QINV_MINUS_1),))
+        a = acc.setdefault(r, {})
+        paccum_scaled(a, c._c, 1, shift - 1)
+        paccum_scaled(a, c._c, -1, shift)
+        if not a:
+            del acc[r]
     for o in others:
         vaccum(acc, {p.dim - dims[o].dim: -1}, cols[o].items())
     return acc
@@ -283,33 +374,24 @@ def compatibility_problems(d: dm.OrbitDatum) -> dict[str, list[str]]:
 
 @memoized
 def _induction_holds(d: dm.OrbitDatum) -> bool:
-    """Compatibility at every (p, s), by the ascent induction of the module
-    docstring behind a clean quadratic_problems.  _defect is summed at every
-    (p, s) but an (up, s) that a row induces from a src and others no
-    s-ascent row targets, so that its premises are summed or taken, and a
-    (src, s) that _propagate took for a derived table, which holds by
-    construction.
+    """Compatibility at every (p, s), by the ascent induction over (s,)
+    behind a clean quadratic_problems (see the module docstring): _defect
+    is summed at each p of unreached(d, (s,)) but a (src, s) that
+    _propagate took for a derived table, which holds by construction.
     """
     if quadratic_problems(d):
         return False
     if d.costandard is None:
-        cols, skip = _propagate(d, False)
+        cols, taken = _propagate(d, False)
     else:
-        cols, skip = d.costandard, set()
-    sources = ascent_sources(d)
-    ups = {(up, s) for up, rows in sources.items() for s, _, _ in rows}
-    skip = skip | {
-        (up, s)
-        for up, rows in sources.items()
-        for s, src, others in rows
-        if not any((x, s) in ups for x in (src, *others))
-    }
+        cols, taken = d.costandard, set()
     table = build_action_table(d)
+    params = d.param_by_id
     return not any(
-        _defect(d, table, cols, s, p)
+        _defect(d, table, cols, s, params[pid])
         for s in range(d.coxeter.rank)
-        for p in d.params
-        if (p.id, s) not in skip
+        for pid in unreached(d, (s,))
+        if (pid, s) not in taken
     )
 
 

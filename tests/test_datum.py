@@ -822,9 +822,15 @@ def _action_perturbations(draw):
     relation, the braid relations or the links may fail: the row rewritten
     as an ExplicitRow with one coefficient replaced, or swapped with the row
     of another parameter.  The costandard table is kept or dropped."""
-    name = draw(st.sampled_from(
-        ["sl2-T", "sl2-N", "hecke-regular:A1", "hecke-regular:A2", "hecke-regular:B2"]
-    ))
+    name = draw(st.sampled_from([
+        "sl2-T",
+        "sl2-N",
+        "hecke-regular:A1",
+        "hecke-regular:A2",
+        "hecke-regular:B2",
+        "hecke-regular:G2",
+        "hecke-regular:A3",
+    ]))
     d = dm.builtin_datum(name)
     obj = d.to_jsonable()
     s = draw(st.sampled_from(sorted(obj["actions"])))
@@ -857,6 +863,87 @@ def test_gate_and_costandard_check_agree_with_the_dense_ones_on_faulty_actions(o
     assert [checks["quadratic-relation"], checks["braid-relations"]] == (
         _dense_quadratic_and_braid(d)
     )
+
+
+def _cycle_dump(keep_costandard):
+    """Four parameters on one closed orbit and two AscentT rows that form a
+    cycle, T_1 m_x = m_c + m_y and T_1 m_y = m_d + m_x, so the row into x
+    starts after x in basis order.  The ExplicitRow columns at c and d make
+    (T_1 + 1)(T_1 - q) vanish everywhere, and the given costandard table
+    makes beta compatible with T_1 at c and d but not on the cycle."""
+    params = ("x", "y", "c", "d")
+    obj = {
+        "name": "ascent-cycle",
+        "coxeter": {"type": "A1"},
+        "orbits": [{"id": "O", "dim": 0, "closed": True}],
+        "closure": [],
+        "params": [{"id": p, "orbit": "O", "local_system": p} for p in params],
+        "actions": {"1": {
+            "x": {"case": "AscentT", "cross": "c", "up": "y"},
+            "y": {"case": "AscentT", "cross": "d", "up": "x"},
+            "c": {"case": "ExplicitRow", "coeffs": {"x": "-1+q", "y": "-1+q", "c": "-1+q", "d": "-1"}},
+            "d": {"case": "ExplicitRow", "coeffs": {"x": "-1+q", "y": "-1+q", "d": "-1+q", "c": "-1"}},
+        }},
+        "poincare": {p: {"num": "1", "den": []} for p in params},
+    }
+    if keep_costandard:
+        obj["costandard"] = {
+            "x": {"x": "1"},
+            "y": {"x": "-q^-1", "y": "1-q^-1", "c": "2-q^-1", "d": "-q^-1"},
+            "c": {"c": "-1+q^-1"},
+            "d": {"c": "-1+q^-1"},
+        }
+    return obj
+
+
+def _retargeted_dump(name, s, pid, up):
+    """A builtin's dump with the s row of pid made an AscentU to up."""
+    obj = dm.builtin_datum(name).to_jsonable()
+    obj["actions"][s][pid] = {"case": "AscentU", "up": up}
+    return obj
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        # T_1 m_e = m_1 and T_1 m_1 = m_e: each parameter is the other's source
+        _retargeted_dump("hecke-regular:A1", "1", "1", "e"),
+        _retargeted_dump("hecke-regular:A2", "1", "1.2.1", "2.1"),
+        _retargeted_dump("hecke-regular:B2", "2", "2.1.2", "1.2"),
+        _cycle_dump(True),
+        _cycle_dump(False),
+    ],
+    ids=["A1", "A2", "B2", "cycle-given", "cycle-closed"],
+)
+def test_relations_on_a_row_whose_source_comes_after_its_target(obj):
+    d = dm.load_datum(obj)
+    index = d.basis_index
+    assert any(
+        index[src] > index[up]
+        for up, rows in hm.ascent_sources(d).items()
+        for _, src, _ in rows
+    )
+    checks = {c.name: c for c in dm.validate_datum(d).checks}
+    assert [checks["quadratic-relation"], checks["braid-relations"]] == (
+        _dense_quadratic_and_braid(d)
+    )
+    assert _outcome(hm.compatibility_problems, d) == _outcome(_dense_compatibility_problems, d)
+    assert checks["costandard-involution"] == _dense_costandard_check(dm.load_datum(obj))
+
+
+def test_the_ascent_cycle_fails_compatibility_on_the_cycle_only():
+    # the premise of the cycle case above: the quadratic relation holds, so
+    # the induction applies, and only a parameter it skips would show the
+    # failure at y
+    d = dm.load_datum(_cycle_dump(True))
+    assert hm.quadratic_problems(d) == []
+    assert hm.unreached(d, (0,)) == ("c", "d", "x")
+    assert hm.compatibility_problems(d) == {
+        "x": ["beta(T1 m[x]) != bar(T1) beta(m[x])"],
+        "y": ["beta(T1 m[y]) != bar(T1) beta(m[y])"],
+        "c": [],
+        "d": [],
+    }
 
 
 def test_planted_non_target_costandard_entry_fails():

@@ -213,6 +213,20 @@ def test_ascent_sources_index_u_and_t_ascents_by_target():
     assert hm.ascent_sources(a2)["1.2.1"] == [(0, "2.1", ()), (1, "1.2", ())]
 
 
+@pytest.mark.parametrize("label", ["A3", "C3", "D4"])
+def test_the_ascent_induction_starts_at_the_coset_representatives(label):
+    # T_s m_w = m_sw when sw > w, so the induction over a parabolic subgroup
+    # starts at its minimal coset representatives: |W| / |W_J| of them
+    d = dm.builtin_datum(f"hecke-regular:{label}")
+    sys, order = d.coxeter, len(d.params)
+    for s in range(sys.rank):
+        assert len(hm.unreached(d, (s,))) == order // 2
+        for t in range(s + 1, sys.rank):
+            assert len(hm.unreached(d, (s, t))) == order // (2 * sys.coxeter_m(s, t))
+    assert hm.unreached(d, tuple(range(sys.rank))) == ("e",)
+    assert hm.unreached(dm.builtin_datum("sl2-T"), (0,)) == ("p0", "pInf", "ws")
+
+
 def test_costandard_derivation_rejects_disagreeing_sources():
     # raising pInf's orbit makes the two T-ascents to wt force different beta(m_wt)
     obj = dm.builtin_datum("sl2-T").to_jsonable()
