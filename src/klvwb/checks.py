@@ -81,11 +81,9 @@ def _hecke_oracle(d: dm.OrbitDatum) -> dm.CheckResult:
 def _involution_suite(d: dm.OrbitDatum) -> dm.CheckResult:
     # beta^2 = id is validation's costandard-involution check, which has
     # passed before any suite runs; what is left is compatibility with T_s
-    compatibility = hm.compatibility_problems(d)
-    problems = []
-    for p in d.params:
-        problems.extend(compatibility[p.id])
-    return dm.CheckResult.of("involution", problems, f"{len(d.params)} basis vectors")
+    return dm.CheckResult.of(
+        "involution", hm.compatibility_problems(d), f"{len(d.params)} basis vectors"
+    )
 
 
 def _selfdual_suite(d: dm.OrbitDatum) -> dm.CheckResult:

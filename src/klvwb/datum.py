@@ -350,6 +350,7 @@ class OrbitDatum:
         self,
         name,
         coxeter_spec,
+        coxeter,
         orbits,
         closure_pairs,
         params,
@@ -359,11 +360,7 @@ class OrbitDatum:
     ):
         self.name = name
         self.coxeter_spec = coxeter_spec
-        self.coxeter = (
-            cox.build_system(coxeter_spec["type"])
-            if "type" in coxeter_spec
-            else cox.build_system(coxeter_spec["cartan"])
-        )
+        self.coxeter = coxeter
         self.orbits = tuple(orbits)
         self.closure_pairs = tuple(closure_pairs)
         self.params = tuple(params)
@@ -379,6 +376,10 @@ class OrbitDatum:
 
         self.orbit_by_id = {o.id: o for o in self.orbits}
         self.param_by_id = {p.id: p for p in self.params}
+        by_orbit: dict[str, list[Parameter]] = {}
+        for p in self.params:
+            by_orbit.setdefault(p.orbit, []).append(p)
+        self._params_on = {o: tuple(ps) for o, ps in by_orbit.items()}
         # canonical basis order: by (dim, id)
         self.basis = tuple(sorted(self.params, key=lambda p: (p.dim, p.id)))
         self.basis_index = {p.id: i for i, p in enumerate(self.basis)}
@@ -406,7 +407,7 @@ class OrbitDatum:
         return b in self._up[a]
 
     def params_on(self, orbit_id: str):
-        return tuple(p for p in self.params if p.orbit == orbit_id)
+        return self._params_on.get(orbit_id, ())
 
     def descriptor(self, s: int, param_id: str):
         return self.actions.get(s, {}).get(param_id)
@@ -640,6 +641,7 @@ def load_datum(source) -> OrbitDatum:
     return OrbitDatum(
         name=obj["name"],
         coxeter_spec={kind: value},
+        coxeter=system,
         orbits=orbit_by_id.values(),
         closure_pairs=closure,
         params=param_by_id.values(),
@@ -797,10 +799,12 @@ def validate_datum(d: OrbitDatum) -> ValidationReport:
 def _check_costandard(d: OrbitDatum) -> CheckResult:
     """The costandard table is unitriangular and beta^2 = id.
 
-    beta^2 = id is certified by _involutive_by_generators where the action
-    commutes with beta, from the parameters no ascent reaches.  Otherwise,
-    or if that finds a failure, beta^2 is applied to every basis vector, so
-    the reported lines are the same either way.
+    beta^2 = id is tested by the ascent induction of hmodule over every
+    generator, behind a clean hmodule.compatibility_problems: beta^2 is then
+    Z[q, q^-1]-linear and commutes with every T_s, so it holds everywhere
+    once it holds on hmodule.unreached, for hecke-regular datums at e
+    alone.  Otherwise, or on any failure there, beta^2 is applied to every
+    basis vector, so the reported lines are the same either way.
     """
     from . import hmodule
 
@@ -822,33 +826,15 @@ def _check_costandard(d: OrbitDatum) -> CheckResult:
         for row in rows:
             if row != col and d.param_by_id[row].dim >= cdim:
                 problems.append(f"n[{col}] has non-lower term at {row}")
-    if not problems and not _involutive_by_generators(d):
-        for p in d.params:
-            v = hmodule.basis_vector(d, p.id)
-            bb = hmodule.beta(hmodule.beta(v, d), d)
-            if bb != v:
-                problems.append(f"beta^2 != id at {p.id}")
+    if not problems:
+        def fails(pid):
+            v = hmodule.basis_vector(d, pid)
+            return hmodule.beta(hmodule.beta(v, d), d) != v
+
+        gens = tuple(range(d.coxeter.rank))
+        induct = not hmodule.compatibility_problems(d)
+        problems = [f"beta^2 != id at {pid}" for pid in hmodule._failing(d, gens, fails, induct)]
     return CheckResult.of("costandard-involution", problems, f"table {origin}")
-
-
-def _involutive_by_generators(d: OrbitDatum) -> bool:
-    """beta^2 = id on every m_p, certified from hmodule.unreached over
-    every generator; False when that does not apply or fails.
-
-    When hmodule.compatibility_problems is clean, beta^2 is
-    Z[q, q^-1]-linear and commutes with every T_s, so the ascent induction
-    of hmodule carries beta^2 = id from those parameters to all: for
-    hecke-regular datums, from e alone.
-    """
-    from . import hmodule
-
-    if any(hmodule.compatibility_problems(d).values()):
-        return False
-    for pid in hmodule.unreached(d, tuple(range(d.coxeter.rank))):
-        v = hmodule.basis_vector(d, pid)
-        if hmodule.beta(hmodule.beta(v, d), d) != v:
-            return False
-    return True
 
 
 def _check_dims(d: OrbitDatum) -> CheckResult:
@@ -912,6 +898,7 @@ def _sl2_t() -> OrbitDatum:
     return OrbitDatum(
         name="sl2-T",
         coxeter_spec={"type": "A1"},
+        coxeter=cox.build_system("A1"),
         orbits=[
             OrbitInfo("0", 0, True),
             OrbitInfo("inf", 0, True),
@@ -952,6 +939,7 @@ def _sl2_n() -> OrbitDatum:
     return OrbitDatum(
         name="sl2-N",
         coxeter_spec={"type": "A1"},
+        coxeter=cox.build_system("A1"),
         orbits=[OrbitInfo("u", 0, True), OrbitInfo("w", 1, False)],
         closure_pairs=[("u", "w")],
         params=[
@@ -1005,10 +993,12 @@ def _hecke_regular(label: str) -> OrbitDatum:
         actions[s] = rows
 
     # costandard by Hecke inversion: n_w = q^len(w) bar(T_w) in the T-basis,
-    # the columns of the R-polynomial table
+    # the columns of the R-polynomial table.  The table is not memoized on
+    # the system, which the datum keeps: the entries live on in costandard,
+    # and the ext and klv paths never read the table itself.
     costandard = {
         tokens[w]: {tokens[els[x]]: LaurentPoly._raw(p) for x, p in col.items()}
-        for w, col in zip(els, hecke._bar_table(system))
+        for w, col in zip(els, hecke._bar_table.__wrapped__(system))
     }
 
     stab = PoincareSeries(ONE, [1] * system.rank)
@@ -1017,6 +1007,7 @@ def _hecke_regular(label: str) -> OrbitDatum:
     return OrbitDatum(
         name=f"hecke-regular:{label}",
         coxeter_spec={"type": label},
+        coxeter=system,
         orbits=orbits,
         closure_pairs=closure,
         params=params,

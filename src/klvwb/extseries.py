@@ -50,22 +50,25 @@ B is chosen once per datum from an exact bound.  A weight
 sum_eps a_eps b_eps has every coefficient at most sum_eps |a_eps| |b_eps|
 in absolute value, |.| the sum of absolute coefficients, so at most
 sum_eps |P[eps, tau]| max_gamma |Q[eps, gamma]| for Ext, and
-sum_eps |Q[eps, tau]| for IC, where a_eps = 1.  B is one bit more than the
-larger of the two bounds over every tau, so each coefficient c of a weight
-has |c| < 2^(B-1).  That makes the signed base-2^B digits of the weight its
-coefficients (laurent.punpack), so the weight is decoded into a kernel dict
-exactly, and two weights are equal polynomials iff they are equal integers.
-The bound limits the final sums only: integers add exactly whatever the
-order, so the eps order of the accumulation does not matter, and partial
-sums may carry freely.
+sum_eps |Q[eps, tau]| for IC, where a_eps = 1.  Bar and shift keep the
+coefficients, so |Q[eps, gamma]| = |P[eps, gamma]|, and both bounds are
+read off P.  B is one bit more than the larger of the two bounds over
+every tau, so each coefficient c of a weight has |c| < 2^(B-1).  That
+makes the signed base-2^B digits of the weight its coefficients
+(laurent.punpack), so the weight is decoded into a kernel dict exactly,
+and two weights are equal polynomials iff they are equal integers.  The
+bound limits the final sums only: integers add exactly whatever the order,
+so the eps order of the accumulation does not matter, and partial sums may
+carry freely.
 
-The full sweep goes one tau-row at a time.  Q is indexed by row once per
-datum, eps -> the (gamma, packed Q[eps, gamma]) of its row, gamma as its
-basis index.  For each eps in P[., tau], bar(P[eps, tau]) is packed once
-and multiplied into the weight of every (slot, gamma) that the Q row
-reaches, so one pass accumulates the whole row.  A single pair is read
-off its row, and the IC series of every tau form one more row, the pairing
-of the all-ones column, built once per datum.
+The full sweep goes one tau-row at a time.  Q is packed by row once per
+datum, straight off the P columns, with no table of Q kept: eps -> the
+(gamma, packed Q[eps, gamma]) of its row, gamma as its basis index.  For
+each eps in P[., tau], bar(P[eps, tau]) is packed once and multiplied into
+the weight of every (slot, gamma) that the Q row reaches, so one pass
+accumulates the whole row.  A single pair is read off its row, and the IC
+series of every tau form one more row, the pairing of the all-ones column,
+built once per datum.
 
 When every denominator in the datum's Poincare table is a power of one
 factor (1 - q^a), a slot is a distinct series: the weights that share it
@@ -105,7 +108,6 @@ from .laurent import (
     LaurentPoly,
     PoincareSeries,
     pbar,
-    pmonmul,
     pnorm,
     ppack,
     punpack,
@@ -143,46 +145,31 @@ def _dims(series: PoincareSeries, offset: int, window: int) -> dict[int, int]:
 
 
 @memoized
-def _q_columns(d: dm.OrbitDatum) -> dict[str, dict[str, dict]]:
-    """The self-dual basis in the costandard basis, {gamma: {eps: Q[eps,
-    gamma] kernel dict}}, equal entries sharing one dict.
-
-    Q[eps, gamma] = q^(dim gamma - dim eps) bar(P[eps, gamma]) are the
-    costandard coordinates of a self-dual column (module docstring).  The
-    premise holds here: klv_table calls dm.ensure_valid first, and both of
-    its column solvers make every column self-dual on a datum that passes.
-    """
+def _packing(d: dm.OrbitDatum) -> tuple[int, int, int]:
+    """(B, lo_left, lo_q): the digit width and the two exponent shifts of
+    the packed pairing, from the coefficient bound of the module docstring,
+    in one walk over the P columns.  Q[eps, gamma] has the norm of
+    P[eps, gamma] and the exponents dim gamma - dim eps - e, e those of
+    P[eps, gamma].  lo_left covers every bar(P[eps, tau]) and the constant 1
+    of the IC pairing, lo_q every Q[eps, gamma].  Raises DomainError when a
+    weight would take more than MAX_PACKED_BITS."""
     table = klvmod.klv_table(d)
-    shared: dict[frozenset, dict] = {}
-    out = {}
+    norms: list[dict[str, int]] = []
+    row_max: dict[str, int] = {}
+    left, right = [0], []
     for gamma in d.basis:
         col = {}
         for eps, p in table.column(gamma.id).coords.items():
-            c = pmonmul(pbar(p._c), 1, gamma.dim - d.param_by_id[eps].dim)
-            col[eps] = shared.setdefault(frozenset(c.items()), c)
-        out[gamma.id] = col
-    return out
-
-
-@memoized
-def _packing(d: dm.OrbitDatum) -> tuple[int, int, int]:
-    """(B, lo_left, lo_q): the digit width and the two exponent shifts of
-    the packed pairing, from the coefficient bound of the module docstring.
-    lo_left covers every bar(P[eps, tau]) and the constant 1 of the IC
-    pairing, lo_q every Q[eps, gamma].  Raises DomainError when a weight
-    would take more than MAX_PACKED_BITS."""
-    table = klvmod.klv_table(d)
-    p_cols = [table.column(p.id).coords for p in d.basis]
-    q_cols = _q_columns(d).values()
-    row_max: dict[str, int] = {}
-    for col in q_cols:
-        for eps, c in col.items():
-            row_max[eps] = max(row_max.get(eps, 0), pnorm(c))
-    ext = max(sum(pnorm(c._c) * row_max.get(eps, 0) for eps, c in col.items()) for col in p_cols)
-    ic = max(sum(map(pnorm, col.values())) for col in q_cols)
+            col[eps] = n = pnorm(p._c)
+            row_max[eps] = max(row_max.get(eps, 0), n)
+            lo, hi = min(p._c), max(p._c)
+            shift = gamma.dim - d.param_by_id[eps].dim
+            left += (-hi, -lo)
+            right += (shift - hi, shift - lo)
+        norms.append(col)
+    ext = max(sum(n * row_max[eps] for eps, n in col.items()) for col in norms)
+    ic = max(sum(col.values()) for col in norms)
     bits = max(ext, ic).bit_length() + 1
-    left = [0, *(-e for col in p_cols for c in col.values() for e in c._c)]
-    right = [e for col in q_cols for c in col.values() for e in c]
     width = bits * (max(left) - min(left) + max(right) - min(right) + 1)
     if width > MAX_PACKED_BITS:
         raise DomainError(
@@ -194,44 +181,39 @@ def _packing(d: dm.OrbitDatum) -> tuple[int, int, int]:
 @memoized
 def _q_rows(d: dm.OrbitDatum) -> dict[str, tuple[list[int], list[int]]]:
     """{eps: (basis indices of the gammas, packed Q[eps, gamma])}, gamma in
-    basis order: the rows of _q_columns in two flat lists, equal entries
-    sharing one int."""
+    basis order.  Q[eps, gamma] = q^(dim gamma - dim eps) bar(P[eps, gamma])
+    (module docstring) is packed straight off P: each distinct
+    (shift, P entry) is barred, shifted and packed once, so equal entries
+    share one int."""
     bits, _, lo = _packing(d)
-    packed: dict[int, int] = {}
+    table = klvmod.klv_table(d)
+    packed: dict[tuple[int, LaurentPoly], int] = {}
     rows: dict[str, tuple[list[int], list[int]]] = {}
-    for gamma, col in _q_columns(d).items():
-        for eps, c in col.items():
-            b = packed.get(id(c))
+    for i, gamma in enumerate(d.basis):
+        for eps, p in table.column(gamma.id).coords.items():
+            key = (gamma.dim - d.param_by_id[eps].dim, p)
+            b = packed.get(key)
             if b is None:
-                b = packed[id(c)] = ppack(c, bits, lo)
+                b = packed[key] = ppack(pbar(p._c), bits, lo - key[0])
             indices, polys = rows.setdefault(eps, ([], []))
-            indices.append(d.basis_index[gamma])
+            indices.append(i)
             polys.append(b)
     return rows
 
 
 @memoized
-def _series_groups(d: dm.OrbitDatum) -> dict[str, int] | None:
-    """{pid: index of its distinct Poincare series, first seen in basis
-    order}, or None when the denominators mix more than one factor."""
-    if len({a for s in d.poincare.values() for a in s.den}) > 1:
-        return None
-    first: dict = {}
-    out = {}
-    for p in d.basis:
-        s = d.poincare[p.id]
-        out[p.id] = first.setdefault((s.den, frozenset(s.num._c.items())), len(first))
-    return out
-
-
-@memoized
 def _slots(d: dm.OrbitDatum) -> tuple[dict[str, int], dict[int, PoincareSeries]]:
-    """({pid: slot}, {slot: series}).  One factor: a slot is a distinct
-    series, its _series_groups index.  Mixed factors: a slot is one
-    parameter, its basis index, so summing in slot order is the fold in
-    basis order."""
-    groups = _series_groups(d)
-    slot = d.basis_index if groups is None else groups
+    """({pid: slot}, {slot: series}).  When every denominator is a power of
+    one factor, a slot is a distinct series, numbered as first seen in basis
+    order.  Mixed factors: a slot is one parameter, its basis index, so
+    summing in slot order is the fold in basis order."""
+    slot = d.basis_index
+    if len({a for s in d.poincare.values() for a in s.den}) <= 1:
+        first: dict = {}
+        slot = {}
+        for p in d.basis:
+            s = d.poincare[p.id]
+            slot[p.id] = first.setdefault((s.den, frozenset(s.num._c.items())), len(first))
     series: dict[int, PoincareSeries] = {}
     for p in d.basis:
         series.setdefault(slot[p.id], d.poincare[p.id])

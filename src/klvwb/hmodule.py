@@ -47,8 +47,9 @@ one, so its problem lines are the same either way.
   sides of beta(T_s^2 v) = bar(T_s) beta(T_s v) into
   bar(T_s)^2 beta(v).  A (src, s) that _propagate took for a derived
   table holds by construction and is not summed either.
-- datum._involutive_by_generators, every generator, behind compatibility:
-  beta^2 is then Z[q, q^-1]-linear and commutes with every T_s.
+- beta^2 = id in datum._check_costandard, every generator, behind a clean
+  compatibility_problems: beta^2 is then Z[q, q^-1]-linear and commutes
+  with every T_s.
 
 unitriangular_coords is the one top-down back substitution: klv expands
 C_w . L_tau in the self-dual basis with it, reads the columns no ascent
@@ -265,14 +266,15 @@ def _braid_fails(table: ActionTable, s: int, t: int, m: int, pid: str) -> bool:
 def costandard_table(d: dm.OrbitDatum):
     """(table, origin): column gamma holds the m-expansion of n_gamma.
 
-    origin is 'given' when the datum carries the table, 'derived' when it
-    was reconstructed by ascent propagation.  Raises MissingCostandard when
+    origin is 'given' when the datum carries the table, which is returned
+    as it is, read-only like every memoized result; 'derived' when it was
+    reconstructed by ascent propagation.  Raises MissingCostandard when
     neither is possible, DatumError if propagation is inconsistent.
     A clean _induction_holds proves the kept candidates consistent (see
     the module docstring); otherwise every candidate is compared.
     """
     if d.costandard is not None:
-        return {col: dict(rows) for col, rows in d.costandard.items()}, "given"
+        return d.costandard, "given"
     derived, _ = _propagate(d, False)
     if len(derived) < len(d.basis) or not _induction_holds(d):
         # an inconsistency is reported before a missing column
@@ -346,30 +348,29 @@ def beta(x: ModuleVector, d: dm.OrbitDatum) -> ModuleVector:
 
 
 @memoized
-def compatibility_problems(d: dm.OrbitDatum) -> dict[str, list[str]]:
-    """Per parameter p, where beta(T_s m[p]) != bar(T_s) beta(m[p]).
+def compatibility_problems(d: dm.OrbitDatum) -> list[str]:
+    """Where beta(T_s m[p]) != bar(T_s) beta(m[p]), in d.params order and
+    then by s.
 
-    Every list empty means beta intertwines the T_s action with its bar, so
+    An empty list means beta intertwines the T_s action with its bar, so
     (T_s + 1) maps a vector fixed by beta up to q^-k to one fixed up to
     q^-(k+1).  It also makes beta^2, which is then Z[q, q^-1]-linear,
     commute with every T_s, so datum._check_costandard need test beta^2 = id
     only where no ascent generates the module.
 
-    Unless _induction_holds certifies every list empty, each (p, s) is
-    summed by _defect, so the lists are the same either way.
+    Unless _induction_holds certifies the list empty, each (p, s) is
+    summed by _defect, so the list is the same either way.
     """
     table = build_action_table(d)
     cols, _ = costandard_table(d)
-    problems: dict[str, list[str]] = {p.id: [] for p in d.params}
     if _induction_holds(d):
-        return problems
-    for p in d.params:
-        for s in range(d.coxeter.rank):
-            if _defect(d, table, cols, s, p):
-                problems[p.id].append(
-                    f"beta(T{s + 1} m[{p.id}]) != bar(T{s + 1}) beta(m[{p.id}])"
-                )
-    return problems
+        return []
+    return [
+        f"beta(T{s + 1} m[{p.id}]) != bar(T{s + 1}) beta(m[{p.id}])"
+        for p in d.params
+        for s in range(d.coxeter.rank)
+        if _defect(d, table, cols, s, p)
+    ]
 
 
 @memoized

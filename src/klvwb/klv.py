@@ -117,7 +117,7 @@ def klv_table(d: dm.OrbitDatum) -> KLVTable:
     needs only the self-duality of the columns below, not the law.
     """
     dm.ensure_valid(d)
-    compatible = not any(hm.compatibility_problems(d).values())
+    compatible = not hm.compatibility_problems(d)
     sources = hm.ascent_sources(d) if compatible else {}
     action = hm.build_action_table(d)
     columns: dict[str, hm.ModuleVector] = {}
@@ -199,7 +199,7 @@ def verify_klv_table(table: KLVTable, d: dm.OrbitDatum) -> list[str]:
     certified column that is 1 at delta and lower elsewhere may serve the
     columns above it.
     """
-    compatible = not any(hm.compatibility_problems(d).values())
+    compatible = not hm.compatibility_problems(d)
     sources = hm.ascent_sources(d) if compatible else {}
     index = d.basis_index
     certified: dict[str, dict] = {}

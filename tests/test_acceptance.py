@@ -32,6 +32,7 @@ def clone(d, **overrides):
     kwargs = dict(
         name=d.name,
         coxeter_spec=d.coxeter_spec,
+        coxeter=d.coxeter,
         orbits=d.orbits,
         closure_pairs=d.closure_pairs,
         params=d.params,

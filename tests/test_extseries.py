@@ -20,6 +20,7 @@ from klvwb.laurent import (
     paccum,
     parse_poly,
     pbar,
+    pnorm,
     ppack,
     punpack,
     render_series,
@@ -155,13 +156,42 @@ def _solved_q_columns(d):
     return out
 
 
+def _unpacked_q_columns(d):
+    """The _q_rows decoded into {gamma: {eps: Q[eps, gamma] kernel dict}}."""
+    bits, _, lo = ext._packing(d)
+    out = {p.id: {} for p in d.basis}
+    for eps, (indices, packed) in ext._q_rows(d).items():
+        assert indices == sorted(set(indices)), eps
+        for i, b in zip(indices, packed):
+            out[d.basis[i].id][eps] = punpack(b, bits, lo)
+    return out
+
+
+def _solved_packing(d):
+    """Oracle: (B, lo_left, lo_q) of the module docstring, with the Q norms
+    and exponents read off _solved_q_columns."""
+    table = klv.klv_table(d)
+    p_cols = [table.column(p.id).coords for p in d.basis]
+    q_cols = _solved_q_columns(d).values()
+    row_max: dict = {}
+    for col in q_cols:
+        for eps, c in col.items():
+            row_max[eps] = max(row_max.get(eps, 0), pnorm(c))
+    ext = max(sum(pnorm(c._c) * row_max[eps] for eps, c in col.items()) for col in p_cols)
+    ic = max(sum(map(pnorm, col.values())) for col in q_cols)
+    lo_left = min([0, *(-e for col in p_cols for c in col.values() for e in c._c)])
+    lo_q = min(e for col in q_cols for c in col.values() for e in c)
+    return max(ext, ic).bit_length() + 1, lo_left, lo_q
+
+
 def _assert_q_matches_the_solve(d):
-    got, want = ext._q_columns(d), _solved_q_columns(d)
-    assert list(got) == list(want) == [p.id for p in d.basis]
+    assert ext._packing(d) == _solved_packing(d)
+    got, want = _unpacked_q_columns(d), _solved_q_columns(d)
     for gamma, col in want.items():
         assert got[gamma] == col, gamma
-    entries = [c for col in got.values() for c in col.values()]
-    assert len({id(c) for c in entries}) == len({frozenset(c.items()) for c in entries})
+    # equal entries share one int
+    packed = [b for _, row in ext._q_rows(d).values() for b in row]
+    assert len({id(b) for b in packed}) == len(set(packed))
 
 
 _UP_TO_D4 = ["sl2-T", "sl2-N"] + [
@@ -183,14 +213,15 @@ def test_q_read_off_p_matches_the_solve_on_a_derived_costandard_table(name):
     assert hm.costandard_table(d)[1] == "derived"
 
 
-def test_q_read_off_p_matches_the_solve_on_the_wide_pack_dump():
-    # the dump of test_a_weight_too_wide_to_pack_is_refused: P[p0, wt] has
-    # a negative exponent, and the table is still self-dual
+def test_q_read_off_p_matches_the_solve_with_a_negative_exponent():
+    # c = q^-3 - q^4 satisfies c = -q bar(c), so the table is still
+    # self-dual, and P[p0, wt] = q^-3 has a negative exponent
     obj = dm.builtin_datum("sl2-T").to_jsonable()
-    obj["costandard"]["wt"]["p0"] = "q^-999999-q^1000000"
+    obj["costandard"]["wt"]["p0"] = "q^-3-q^4"
     d = dm.load_datum(obj)
+    assert klv.klv_table(d).column("wt").coords["p0"]._c == {-3: 1}
     _assert_q_matches_the_solve(d)
-    assert ext._q_columns(d)["wt"]["p0"] == {1000000: 1}
+    assert _unpacked_q_columns(d)["wt"]["p0"] == {4: 1}
 
 
 @settings(deadline=None, max_examples=100)
@@ -304,7 +335,7 @@ def test_grouped_sum_renders_as_the_fold(drawn):
         pid: {"num": str(s.num), "den": list(s.den)} for pid, s in table.items()
     }
     d = dm.load_datum(obj)
-    assert (ext._series_groups(d) is None) == mixed
+    assert (ext._slots(d)[0] is d.basis_index) == mixed
     for tau in d.basis:
         row = ext.ext_row(d, tau.id)
         assert [es.gamma for es in row] == [gamma.id for gamma in d.basis]
@@ -331,7 +362,7 @@ def test_a3_rows_render_as_the_fold(mixed):
                   {"num": "1", "den": []}]
         obj["poincare"] = {pid: tables[i % 3] for i, pid in enumerate(sorted(obj["poincare"]))}
     d = dm.load_datum(obj)
-    assert (ext._series_groups(d) is None) == mixed
+    assert (ext._slots(d)[0] is d.basis_index) == mixed
     assert any(p != p.bar() for _, _, p in klv.klv_table(d).rows())
     for tau in d.basis:
         for es in ext.ext_row(d, tau.id):
@@ -357,7 +388,7 @@ def test_mixed_factor_datum_keeps_the_fold():
     # (1+2q+3q^2-7q^4-5q^5+3q^6+6q^7+2q^8-3q^9+q^11)/(1-q^2)^3(1-q^3)
     # for Ext(1.2.1, 1.2.1); the gate keeps the fold
     d = dm.load_datum(_mixed_b2())
-    assert ext._series_groups(d) is None
+    assert ext._slots(d)[0] is d.basis_index
     got = ext.ext_poincare(d, "1.2.1", "1.2.1").series
     assert str(got) == "(1+2q+2q^2-q^3-8q^4-3q^5+9q^6+3q^7-4q^8+q^10)/(1-q^2)^4"
     assert str(got) == str(_fold_ext(d, "1.2.1", "1.2.1"))
@@ -426,19 +457,22 @@ def test_grouping_changes_the_form_under_mixed_factors():
     assert str(grouped) == "(-2q^2-2q^4-2q^6)/(1-q^3)(1-q^4)"
 
 
-def test_series_groups_gate():
+def test_slots_gate():
     for name in dm.BUILTIN_NAMES:
         d = dm.builtin_datum(name)
-        groups = ext._series_groups(d)
-        assert set(groups) == set(d.param_by_id), name
-        assert ext._series_groups(d) is groups
-    assert set(ext._series_groups(dm.builtin_datum("sl2-T")).values()) == {0, 1}
+        slot, series = ext._slots(d)
+        assert slot is not d.basis_index, name
+        assert set(slot) == set(d.param_by_id), name
+        assert list(series) == sorted(set(slot.values())) == list(range(len(series))), name
+        assert ext._slots(d)[0] is slot
+    assert set(ext._slots(dm.builtin_datum("sl2-T"))[0].values()) == {0, 1}
     obj = _dump("sl2-N")
     obj = {**obj, "poincare": {**obj["poincare"], "u": {"num": "1", "den": [1]},
                                "wp": {"num": "1", "den": [2]}}}
     mixed = dm.load_datum(obj)
-    assert ext._series_groups(mixed) is None
-    assert mixed._cache[(ext._series_groups.__wrapped__,)] is None
+    slot, series = ext._slots(mixed)
+    assert slot is mixed.basis_index
+    assert series == {i: mixed.poincare[p.id] for i, p in enumerate(mixed.basis)}
 
 
 # --- the packed pairing against the kernel fold ----------------------------

@@ -129,11 +129,19 @@ def test_hecke_regular_act_matches_algebra():
         )
 
 
+def test_a_given_costandard_table_is_returned_as_it_is():
+    d = dm.builtin_datum("hecke-regular:A2")
+    table, origin = hm.costandard_table(d)
+    assert table is d.costandard
+    assert origin == "given"
+
+
 def test_costandard_derivation_matches_hecke_inversion():
     given = dm.builtin_datum("hecke-regular:A2")
     stripped = dm.OrbitDatum(
         name=given.name,
         coxeter_spec=given.coxeter_spec,
+        coxeter=given.coxeter,
         orbits=given.orbits,
         closure_pairs=given.closure_pairs,
         params=given.params,
@@ -271,6 +279,7 @@ def test_costandard_underivable_without_table():
         stripped = dm.OrbitDatum(
             name=given.name,
             coxeter_spec=given.coxeter_spec,
+            coxeter=given.coxeter,
             orbits=given.orbits,
             closure_pairs=given.closure_pairs,
             params=given.params,

@@ -64,7 +64,7 @@ def _forced_fallback():
     """hmodule.compatibility_problems marked failed at every parameter, so
     klv_table reads every column off the costandard table."""
     return mock.patch.object(
-        hm, "compatibility_problems", lambda d: {p.id: ["forced"] for p in d.params}
+        hm, "compatibility_problems", lambda d: [f"forced at {p.id}" for p in d.params]
     )
 
 
@@ -707,7 +707,7 @@ def test_check_builds_no_ext_series(monkeypatch):
     report = checks.run_check_suites(d)
     assert report.ok
     assert "series-parity (2352 series, window q^0..q^10)" in report.checks[-1].detail
-    # no _q_columns, _q_rows or other extseries memo was made
+    # no _q_rows or other extseries memo was made
     assert not [key for key in d._cache if key[0].__module__ == extseries.__name__]
 
 
@@ -749,6 +749,7 @@ def _perturbed(name, bumps):
     return dm.OrbitDatum(
         name=base.name,
         coxeter_spec=base.coxeter_spec,
+        coxeter=base.coxeter,
         orbits=base.orbits,
         closure_pairs=base.closure_pairs,
         params=base.params,
