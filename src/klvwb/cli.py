@@ -17,9 +17,7 @@ import functools
 import json
 import sys
 
-from . import checks as checksmod
 from . import datum as dm
-from . import extseries
 from . import hmodule as hm
 from . import klv as klvmod
 from .errors import (
@@ -222,6 +220,8 @@ def _cmd_cexp(args, d: dm.OrbitDatum) -> int:
 
 
 def _cmd_ext(args, d: dm.OrbitDatum) -> int:
+    from . import extseries  # deferred, like checks: no other command needs it
+
     if args.gamma and not args.tau:
         raise _UsageError("--gamma requires --tau")
     for pid in (args.tau, args.gamma):
@@ -239,7 +239,9 @@ def _cmd_ext(args, d: dm.OrbitDatum) -> int:
 
 
 def _cmd_check(args, d: dm.OrbitDatum) -> int:
-    report = checksmod.run_check_suites(d, window=args.window)
+    from . import checks  # deferred: only check runs the suites
+
+    report = checks.run_check_suites(d, window=args.window)
     return _emit_report(args, d, report, "suite", ("FAILED", "OK"))
 
 

@@ -17,6 +17,7 @@ a system or from a datum over it is built once per owner, through memoized.
 from __future__ import annotations
 
 from functools import wraps
+from operator import attrgetter
 
 from .errors import SystemMismatch, UnsupportedType
 
@@ -64,6 +65,74 @@ def memoized(fn):
         return out
 
     return wrapper
+
+
+_set = object.__setattr__
+
+
+class Record:
+    """Base of the frozen value records.
+
+    A subclass's fields are its own annotations, in order, read once at class
+    creation into _fields as (name, annotation) pairs; a class attribute of a
+    field's name is that field's default.  Records are equal when their types
+    and their fields are, hash by their fields, and refuse assignment after
+    __init__.  This is what dataclass(frozen=True) gave these classes, without
+    the import of dataclasses and its per-class code generation at start-up.
+    """
+
+    _fields: tuple[tuple[str, str], ...] = ()
+    _names: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__dict__.get("__annotations__", {}).items())
+        cls._names = names = tuple(name for name, _ in cls._fields)
+        cls._nameset = frozenset(names)
+        cls._defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
+        # what equality and the hash compare: the fields, or with none the class
+        cls._key = attrgetter(*names) if names else type
+
+    def __init__(self, *args, **kwargs):
+        names = self._names
+        if kwargs or len(args) != len(names):
+            args = self._bind(args, kwargs)
+        # one setattr per field, never self.__dict__: on CPython 3.11 a
+        # materialized __dict__ makes every later attribute read slower
+        for name, value in zip(names, args):
+            _set(self, name, value)
+
+    def _bind(self, args, kwargs):
+        """The field values in order from args, kwargs and the defaults."""
+        names = self._names
+        if not args and kwargs.keys() == self._nameset:  # the usual keyword call
+            return map(kwargs.__getitem__, names)
+        given = dict(zip(names, args))
+        values = {**self._defaults, **given, **kwargs}
+        if len(args) > len(names) or given.keys() & kwargs or values.keys() != self._nameset:
+            raise TypeError(
+                f"{type(self).__name__}({', '.join(names)}) cannot take "
+                f"{len(args)} positional values and the keywords {sorted(kwargs)}"
+            )
+        return map(values.__getitem__, names)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._names)
+        return f"{type(self).__qualname__}({fields})"
 
 
 class CoxeterSystem:

@@ -21,7 +21,6 @@ coxeter.memoized.
 from __future__ import annotations
 
 import json
-from dataclasses import Field, dataclass, fields
 
 from . import coxeter as cox
 from . import hecke
@@ -64,15 +63,13 @@ _BAD_ID_CHARS = frozenset(
 _BAD_ID = "holds a comma or a control character"
 
 
-@dataclass(frozen=True)
-class OrbitInfo:
+class OrbitInfo(cox.Record):
     id: str
     dim: int
     closed: bool
 
 
-@dataclass(frozen=True)
-class Parameter:
+class Parameter(cox.Record):
     id: str
     orbit: str
     local_system: str
@@ -100,47 +97,49 @@ class _Row:
             self.fail(f"{kind} link to {target} not mirrored")
 
 
-class _Descriptor:
+class _Descriptor(cox.Record):
     """The rules of one descriptor family: its file form, the parameters it
     references, its ascent targets, its T_s column and its link rules.
 
-    Every field of a family names parameters: a str field one parameter, a
-    tuple field an unordered pair.  ExplicitRow overrides what that rules out.
+    A family is a frozen record whose fields are its annotations, read by
+    the Record base into _fields as (name, annotation) pairs.  Every field
+    of a family names parameters: a "str" field one parameter, a tuple field
+    an unordered pair.  ExplicitRow overrides what that rules out.
     """
 
-    _fields: tuple[Field, ...] = ()  # set by _family
-    _ascent_fields: tuple[str, ...] = ()
+    # the fields holding ascent targets
+    _ascent_fields = ()
     # the T_s column by field: (field, coefficient), each parameter the field
     # names getting the coefficient; None stands for the row's own parameter
-    _column: tuple[tuple[str | None, LaurentPoly], ...] = ()
+    _column = ()
 
     def to_json(self) -> dict:
         out = {"case": type(self).__name__}
-        for f in self._fields:
-            value = getattr(self, f.name)
-            out[f.name] = list(value) if isinstance(value, tuple) else value
+        for name in self._names:
+            value = getattr(self, name)
+            out[name] = list(value) if isinstance(value, tuple) else value
         return out
 
     @classmethod
     def from_json(cls, obj: dict, where: str, poly=parse_poly):
         """The descriptor of the file form obj at place where; poly parses a
         polynomial text, for the cases that carry one."""
-        values = {}
-        for f in cls._fields:
-            if f.name not in obj:
-                raise DatumFormatError(f"{where}: descriptor missing field {f.name!r}")
-            value = obj[f.name]
-            if f.type == "str":
+        values = []
+        for name, kind in cls._fields:
+            if name not in obj:
+                raise DatumFormatError(f"{where}: descriptor missing field {name!r}")
+            value = obj[name]
+            if kind == "str":
                 if not isinstance(value, str):
-                    raise DatumFormatError(f"{where}: {f.name!r} must be a parameter id")
+                    raise DatumFormatError(f"{where}: {name!r} must be a parameter id")
             elif isinstance(value, list) and len(value) == 2 and all(
                 isinstance(v, str) for v in value
             ):
                 value = tuple(value)
             else:
-                raise DatumFormatError(f"{where}: {f.name!r} must list two parameters")
-            values[f.name] = value
-        return cls(**values)
+                raise DatumFormatError(f"{where}: {name!r} must list two parameters")
+            values.append(value)
+        return cls(*values)
 
     def _ids(self, names) -> tuple[str, ...]:
         out = []
@@ -151,7 +150,7 @@ class _Descriptor:
 
     def targets(self) -> tuple[str, ...]:
         """Every parameter the descriptor references."""
-        return self._ids(f.name for f in self._fields)
+        return self._ids(self._names)
 
     def ascents(self, d: "OrbitDatum", dim: int) -> tuple[str, ...]:
         """Parameters the row ascends to, for a row on an orbit of dimension dim."""
@@ -175,19 +174,10 @@ class _Descriptor:
         """Append to row.problems where the rows this one links to disagree."""
 
 
-def _family(cls):
-    """A descriptor family: a frozen dataclass, its fields read once."""
-    cls = dataclass(frozen=True)(cls)
-    cls._fields = fields(cls)
-    return cls
-
-
-@_family
 class CompactG(_Descriptor):
     _column = ((None, Q),)
 
 
-@_family
 class AscentU(_Descriptor):
     up: str
     _ascent_fields = ("up",)
@@ -202,7 +192,6 @@ class AscentU(_Descriptor):
         row.mirrored(self.up, "AscentU", DescentU(down=row.pid))
 
 
-@_family
 class DescentU(_Descriptor):
     down: str
     _column = (("down", Q), (None, _Q_MINUS_1))
@@ -213,7 +202,6 @@ class DescentU(_Descriptor):
         row.mirrored(self.down, "DescentU", AscentU(up=row.pid))
 
 
-@_family
 class AscentT(_Descriptor):
     cross: str
     up: str
@@ -240,7 +228,6 @@ class AscentT(_Descriptor):
         )
 
 
-@_family
 class DescentT(_Descriptor):
     downs: tuple[str, str]
     _column = (("downs", _Q_MINUS_1), (None, _Q_MINUS_2))
@@ -256,12 +243,10 @@ class DescentT(_Descriptor):
         row.mirrored(d2, "DescentT", AscentT(cross=d1, up=row.pid))
 
 
-@_family
 class DescentTNonParity(_Descriptor):
     _column = ((None, _MINUS_ONE),)
 
 
-@_family
 class AscentN(_Descriptor):
     ups: tuple[str, str]
     _ascent_fields = ("ups",)
@@ -281,7 +266,6 @@ class AscentN(_Descriptor):
         row.mirrored(u2, "AscentN", DescentN(partner=u1, down=row.pid))
 
 
-@_family
 class DescentN(_Descriptor):
     partner: str
     down: str
@@ -304,7 +288,6 @@ class DescentN(_Descriptor):
         )
 
 
-@_family
 class ExplicitRow(_Descriptor):
     """The escape hatch: the T_s column given entry by entry."""
 
@@ -680,8 +663,7 @@ def s_star(d: OrbitDatum, s: int, orbit_id: str) -> str:
     return next(iter(targets))
 
 
-@dataclass
-class CheckResult:
+class CheckResult(cox.Record):
     name: str
     passed: bool
     detail: str = ""

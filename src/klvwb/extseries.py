@@ -97,11 +97,9 @@ shares its row generator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import datum as dm
 from . import klv as klvmod
-from .coxeter import memoized
+from .coxeter import Record, memoized
 from .errors import DatumError, DomainError
 from .laurent import (
     MAX_PACKED_BITS,
@@ -115,13 +113,13 @@ from .laurent import (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class ExtSeries:
+class ExtSeries(Record):
     """A weight series with its degree dictionary offset.
 
     Coefficient of q^m is the dimension in cohomological degree
     2m - degree_offset.  gamma is None for intersection-cohomology series.
-    memo is the render table of series_row.  The ExtSeries that ext_row,
+    memo is the render table of series_row, kept beside the fields, so
+    equality, hashing and repr leave it out.  The ExtSeries that ext_row,
     ext_poincare and ic_cohomology return share their datum's table; a
     series built elsewhere gets its own.
     """
@@ -130,7 +128,10 @@ class ExtSeries:
     gamma: str | None
     series: PoincareSeries
     degree_offset: int
-    memo: dict = field(default_factory=dict, compare=False, repr=False)
+
+    def __init__(self, tau, gamma, series, degree_offset, memo=None):
+        super().__init__(tau, gamma, series, degree_offset)
+        object.__setattr__(self, "memo", {} if memo is None else memo)
 
     def dims(self, window: int) -> dict[int, int]:
         """{cohomological degree: dimension} for series exponents 0..window

@@ -48,11 +48,9 @@ Kronecker-packed integers (laurent.ppack).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import datum as dm
 from . import hmodule as hm
-from .coxeter import CoxElt, CoxeterSystem, memoized
+from .coxeter import CoxElt, CoxeterSystem, Record, memoized
 from .errors import DatumError, DomainError, NonGeometricDatum
 from .hecke import kl_basis
 from .laurent import (
@@ -446,8 +444,7 @@ def _dense_expand(d: dm.OrbitDatum, w: CoxElt, tau: str) -> dict[str, LaurentPol
     return hm.unitriangular_coords(d, acc, lambda pid: table.columns[pid].terms)
 
 
-@dataclass(frozen=True)
-class ExpansionReport:
+class ExpansionReport(Record):
     """What the check suites read from every C_w . L_tau of a datum: the
     number of coefficients and each suite's problem lines, in w-major,
     then d.params, then descending basis order."""

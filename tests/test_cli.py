@@ -269,6 +269,12 @@ def test_deeply_nested_json_is_rejected_cleanly(tmp_path, capsys):
     assert line.startswith("klvwb: invalid datum: invalid JSON: maximum recursion depth")
 
 
+def _child_env() -> dict:
+    """The environment of a child interpreter that imports this klvwb."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
 def test_long_series_quotient_is_refused_in_bounded_memory(tmp_path):
     # 1 - q^N over (1 - q) reduces to N terms: about 10 GB for this file of
     # under 1 KB.  The child's address space is capped, so a regression
@@ -283,14 +289,12 @@ def test_long_series_quotient_is_refused_in_bounded_memory(tmp_path):
         "from klvwb.cli import main\n"
         "sys.exit(main(sys.argv[1:]))\n"
     )
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
         [sys.executable, "-c", child, "validate", "--datum", str(path)],
         capture_output=True,
         text=True,
         timeout=60,
-        env=env,
+        env=_child_env(),
     )
     assert (proc.returncode, proc.stdout) == (1, ""), proc.stderr[-2000:]
     assert proc.stderr.splitlines() == [
@@ -534,3 +538,44 @@ def test_datum_is_freed_when_the_command_returns(monkeypatch, capsys):
     capsys.readouterr()
     assert codes == [0, 0, 0, 3]
     assert freed == [True] * len(runs)
+
+
+# Modules that start-up leaves out: dataclasses and inspect would be pure
+# import cost, and checks and extseries serve one command each.
+_DEFERRED = {"dataclasses", "inspect", "klvwb.checks", "klvwb.extseries"}
+
+
+def _loaded_by(argv, out):
+    """The modules a fresh interpreter loads for `import klvwb.cli` and then,
+    when argv is given, for main(argv) writing to out."""
+    child = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "from klvwb.cli import main\n"
+        "out, argv = sys.argv[1], sys.argv[2:]\n"
+        "code = main([*argv, '--out', out]) if argv else 0\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+        "sys.exit(code)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", child, str(out), *argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=_child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return set(proc.stdout.split())
+
+
+def test_importing_the_cli_defers_what_only_some_commands_need(tmp_path):
+    path = tmp_path / "sl2T.json"
+    path.write_text(json.dumps(dm.builtin_datum("sl2-T").to_jsonable()), encoding="utf-8")
+    out = tmp_path / "out.txt"
+    bare = _loaded_by([], out)
+    assert "klvwb.cli" in bare
+    assert not bare & _DEFERRED
+    for verb in ("klv", "validate"):
+        assert not _loaded_by([verb, "--datum", str(path)], out) & _DEFERRED, verb
+    assert "klvwb.checks" in _loaded_by(["check", "--datum", str(path)], out)
+    assert "klvwb.extseries" in _loaded_by(["ext", "--datum", str(path)], out)

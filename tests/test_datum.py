@@ -1,4 +1,3 @@
-import dataclasses
 import json
 from pathlib import Path
 
@@ -521,11 +520,124 @@ def test_validation_detects_broken_mirror():
 def test_a_datum_refuses_a_non_integer_dim(field):
     d = dm.builtin_datum("sl2-T")
     records = getattr(d, field)
-    half = (dataclasses.replace(records[0], dim=0.5), *records[1:])
+    first = records[0]
+    if field == "orbits":
+        bad = dm.OrbitInfo(first.id, dim=0.5, closed=first.closed)
+    else:
+        bad = dm.Parameter(first.id, first.orbit, first.local_system, dim=0.5)
+    half = (bad, *records[1:])
     kind = "orbit" if field == "orbits" else "parameter"
     message = f"^{kind} {records[0].id}: dim must be an integer, got 0.5$"
     with pytest.raises(DatumError, match=message):
         clone(d, **{field: half})
+
+
+# The descriptor families, OrbitInfo, Parameter and CheckResult are frozen
+# records (coxeter.Record).  These tests pin what they kept from the frozen
+# dataclasses they replace.
+FAMILY_FIELDS = {
+    "CompactG": (),
+    "AscentU": (("up", "str"),),
+    "DescentU": (("down", "str"),),
+    "AscentT": (("cross", "str"), ("up", "str")),
+    "DescentT": (("downs", "tuple[str, str]"),),
+    "DescentTNonParity": (),
+    "AscentN": (("ups", "tuple[str, str]"),),
+    "DescentN": (("partner", "str"), ("down", "str")),
+    "ExplicitRow": (("coeffs", "tuple[tuple[str, LaurentPoly], ...]"),),
+}
+
+
+def test_every_family_reads_its_fields_from_its_annotations():
+    # from_json tells a one-parameter field from a pair by the annotation text
+    assert {name: cls._fields for name, cls in dm.DESCRIPTORS.items()} == FAMILY_FIELDS
+
+
+def test_record_equality_is_type_sensitive():
+    assert dm.AscentU(up="a") != dm.DescentU(down="a")
+    assert dm.DescentT(downs=("a", "b")) != dm.AscentN(ups=("a", "b"))
+    assert dm.CompactG() != dm.DescentTNonParity()
+    assert dm.AscentU(up="a") == dm.AscentU("a")
+    assert dm.CompactG() == dm.CompactG()
+    assert dm.AscentU(up="a") != dm.AscentU(up="b")
+    assert dm.AscentU(up="a") != "a"
+
+
+def test_equal_records_hash_equal_whatever_the_keyword_order():
+    records = [
+        dm.DescentN(partner="x", down="y"),
+        dm.DescentN(down="y", partner="x"),
+        dm.DescentN("x", "y"),
+        dm.DescentN("x", down="y"),
+    ]
+    assert all(r == records[0] for r in records)
+    assert len({hash(r) for r in records}) == 1
+    assert len(set(records)) == 1
+    assert dm.DescentN(partner="y", down="x") not in set(records)
+    p = dm.Parameter("p", "o", "triv", 1)
+    q = dm.Parameter(dim=1, local_system="triv", orbit="o", id="p")
+    assert p == q and hash(p) == hash(q)
+    assert repr(q) == "Parameter(id='p', orbit='o', local_system='triv', dim=1)"
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        dm.AscentT(cross="a", up="b"),
+        dm.OrbitInfo("o", 1, False),
+        dm.Parameter("p", "o", "triv", 1),
+        dm.CheckResult("x", True),
+        klv.ExpansionReport(1, (), ()),
+    ],
+    ids=lambda r: type(r).__name__,
+)
+def test_a_record_refuses_assignment(record):
+    name = record._fields[0][0]
+    before = getattr(record, name)
+    with pytest.raises(AttributeError):
+        setattr(record, name, "changed")
+    with pytest.raises(AttributeError):
+        delattr(record, name)
+    with pytest.raises(AttributeError):
+        record.extra = 1
+    assert getattr(record, name) == before
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: dm.AscentU(),
+        lambda: dm.AscentT(cross="a"),
+        lambda: dm.Parameter("p", "o", "triv"),
+        lambda: dm.CheckResult("x"),
+        lambda: dm.AscentU(down="a"),
+        lambda: dm.AscentU(up="a", down="b"),
+        lambda: dm.AscentU("a", "b"),
+        lambda: dm.AscentU("a", up="a"),
+        lambda: dm.CompactG("a"),
+    ],
+    ids=[
+        "missing",
+        "missing-keyword",
+        "missing-positional",
+        "missing-before-default",
+        "unknown",
+        "unknown-extra",
+        "too-many",
+        "twice",
+        "no-fields",
+    ],
+)
+def test_a_missing_or_unknown_field_raises_type_error(make):
+    with pytest.raises(TypeError):
+        make()
+
+
+def test_check_result_detail_defaults_to_empty():
+    assert dm.CheckResult("x", True).detail == ""
+    assert dm.CheckResult(name="x", passed=False).detail == ""
+    assert dm.CheckResult("x", True) == dm.CheckResult("x", True, "")
+    assert dm.CheckResult("x", True, "why").detail == "why"
 
 
 def test_validation_detects_dim_closure_conflict():

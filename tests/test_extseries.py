@@ -434,6 +434,21 @@ def test_shared_series_keeps_each_offset():
         assert all(single_parity(es, 3) for es in rows.values())
 
 
+def test_ext_series_equality_leaves_the_memo_out():
+    s = series("q", [1])
+    a = ext.ExtSeries("t", "g", s, 1, {"rendered": "x"})
+    b = ext.ExtSeries("t", "g", s, 1)
+    assert a == b
+    assert a.memo == {"rendered": "x"} and b.memo == {}
+    # a series built without a table gets one of its own
+    assert ext.ExtSeries("t", "g", s, 1).memo is not b.memo
+    assert a != ext.ExtSeries("t", "g", s, 2, a.memo)
+    assert a != ext.ExtSeries("t", None, s, 1, a.memo)
+    assert "memo" not in repr(a)
+    with pytest.raises(AttributeError):
+        a.memo = {}
+
+
 def test_row_shares_one_memo_and_equal_series():
     d = dm.builtin_datum("hecke-regular:A3")
     shared = 0
