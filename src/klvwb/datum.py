@@ -91,9 +91,11 @@ class _Row:
     def fail(self, what: str):
         self.problems.append(f"(s{self.s + 1}, {self.pid}) {what}")
 
-    def mirrored(self, target: str, kind: str, *expected):
-        """The row at target must be one of the expected descriptors."""
-        if self.d.descriptor(self.s, target) not in expected:
+    def mirrored(self, target: str, kind: str, case, *expected):
+        """The row at target must be a case descriptor whose fields, as
+        case._key reads them, are one of expected; no record is built."""
+        desc = self.d.descriptor(self.s, target)
+        if desc.__class__ is not case or case._key(desc) not in expected:
             self.fail(f"{kind} link to {target} not mirrored")
 
 
@@ -189,7 +191,7 @@ class AscentU(_Descriptor):
     def check_links(self, row):
         if row.d.param_by_id[self.up].dim <= row.param.dim:
             row.fail(f"ascent target {self.up} not higher")
-        row.mirrored(self.up, "AscentU", DescentU(down=row.pid))
+        row.mirrored(self.up, "AscentU", DescentU, row.pid)
 
 
 class DescentU(_Descriptor):
@@ -199,7 +201,7 @@ class DescentU(_Descriptor):
     def check_links(self, row):
         if row.d.param_by_id[self.down].dim >= row.param.dim:
             row.fail(f"descent target {self.down} not lower")
-        row.mirrored(self.down, "DescentU", AscentU(up=row.pid))
+        row.mirrored(self.down, "DescentU", AscentU, row.pid)
 
 
 class AscentT(_Descriptor):
@@ -219,13 +221,8 @@ class AscentT(_Descriptor):
             row.fail(f"cross {self.cross} has different dim")
         if params[self.up].dim <= row.param.dim:
             row.fail(f"ascent target {self.up} not higher")
-        row.mirrored(self.cross, "AscentT-cross", AscentT(cross=pid, up=self.up))
-        row.mirrored(
-            self.up,
-            "AscentT up",
-            DescentT(downs=(pid, self.cross)),
-            DescentT(downs=(self.cross, pid)),
-        )
+        row.mirrored(self.cross, "AscentT-cross", AscentT, (pid, self.up))
+        row.mirrored(self.up, "AscentT up", DescentT, (pid, self.cross), (self.cross, pid))
 
 
 class DescentT(_Descriptor):
@@ -239,8 +236,8 @@ class DescentT(_Descriptor):
         for lo in self.downs:
             if row.d.param_by_id[lo].dim >= row.param.dim:
                 row.fail(f"descent target {lo} not lower")
-        row.mirrored(d1, "DescentT", AscentT(cross=d2, up=row.pid))
-        row.mirrored(d2, "DescentT", AscentT(cross=d1, up=row.pid))
+        row.mirrored(d1, "DescentT", AscentT, (d2, row.pid))
+        row.mirrored(d2, "DescentT", AscentT, (d1, row.pid))
 
 
 class DescentTNonParity(_Descriptor):
@@ -262,8 +259,8 @@ class AscentN(_Descriptor):
                 row.fail(f"ascent target {u} not higher")
         if params[u1].orbit != params[u2].orbit:
             row.fail("AscentN ups on different orbits")
-        row.mirrored(u1, "AscentN", DescentN(partner=u2, down=row.pid))
-        row.mirrored(u2, "AscentN", DescentN(partner=u1, down=row.pid))
+        row.mirrored(u1, "AscentN", DescentN, (u2, row.pid))
+        row.mirrored(u2, "AscentN", DescentN, (u1, row.pid))
 
 
 class DescentN(_Descriptor):
@@ -279,13 +276,8 @@ class DescentN(_Descriptor):
             row.fail("partner on a different orbit")
         if params[self.down].dim >= row.param.dim:
             row.fail(f"descent target {self.down} not lower")
-        row.mirrored(self.partner, "DescentN", DescentN(partner=pid, down=self.down))
-        row.mirrored(
-            self.down,
-            "DescentN down",
-            AscentN(ups=(pid, self.partner)),
-            AscentN(ups=(self.partner, pid)),
-        )
+        row.mirrored(self.partner, "DescentN", DescentN, (pid, self.down))
+        row.mirrored(self.down, "DescentN down", AscentN, (pid, self.partner), (self.partner, pid))
 
 
 class ExplicitRow(_Descriptor):

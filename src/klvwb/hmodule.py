@@ -18,6 +18,19 @@ The derivation keeps the first candidate for each parameter, so the table
 is compatible at that ascent's (src, s) by construction; another candidate
 agrees with it iff the table is compatible at its own (src, s).
 
+The kept candidates, and the compatibility defects the ascent induction
+below sums on them, run on Kronecker-packed integers (laurent.ppack): each
+entry is one int at q = 2^B, so each step of a column is one big-integer
+multiply-add, in the order and with the key drops of the kernel-dict
+_candidate.  _derivation_width fixes B before anything is packed, from
+the action table and the order of the ascents alone: column norms and
+top exponents follow the ascents, and no entry of the table is walked.
+Each distinct packed value is decoded once, into one LaurentPoly that
+every equal entry of the table shares, read-only like every memoized
+result.  Where the width test refuses (a multiplier exponent below 0, or
+more than laurent.MAX_PACKED_BITS bits an entry), where every candidate
+is compared, and for a given table, the kernel dicts run instead.
+
 ascent_sources indexes those U- and T-ascents by target; the derivation
 above and the self-dual basis solver both read it.  Every table here is
 built once per datum, through coxeter.memoized.
@@ -58,13 +71,14 @@ seeds off the costandard table, and certifies the ascent-reached ones.
 
 from __future__ import annotations
 
-from functools import partial
+from functools import cached_property, partial
 
 from . import datum as dm
 from .coxeter import CoxElt, memoized
 from .errors import DatumError, MissingCostandard, SystemMismatch
 from .hecke import HeckeElt, kl_basis, parse_token
 from .laurent import (
+    MAX_PACKED_BITS,
     ONE,
     Combination,
     LaurentPoly,
@@ -72,6 +86,9 @@ from .laurent import (
     pbar,
     pmonmul,
     pneg,
+    pnorm,
+    ppack,
+    punpack,
     render_poly,
     vaccum,
 )
@@ -122,7 +139,7 @@ def basis_vector(d: dm.OrbitDatum, pid: str) -> ModuleVector:
 
 class ActionTable:
     """Per simple reflection, the sparse column form of the T_s action, and
-    in bar_columns that of bar(T_s)."""
+    in bar_columns, built when first read, that of bar(T_s)."""
 
     def __init__(self, d: dm.OrbitDatum):
         self.datum = d
@@ -135,7 +152,10 @@ class ActionTable:
                     raise DatumError(f"no descriptor for ({p.id}, s{s + 1})")
                 cols[p.id] = desc.column(p.id)
             self.columns[s] = cols
-        self.bar_columns = {s: _bar_ts_columns(cols) for s, cols in self.columns.items()}
+
+    @cached_property
+    def bar_columns(self) -> dict[int, dict[str, list]]:
+        return {s: _bar_ts_columns(cols) for s, cols in self.columns.items()}
 
     def apply(self, s: int, v: ModuleVector) -> ModuleVector:
         """T_s . v"""
@@ -272,6 +292,13 @@ def costandard_table(d: dm.OrbitDatum):
     neither is possible, DatumError if propagation is inconsistent.
     A clean _induction_holds proves the kept candidates consistent (see
     the module docstring); otherwise every candidate is compared.
+
+    A derived table is computed on packed integers (_packed_derivation)
+    where _derivation_width, which bounds the norm and the top exponent
+    of each column along the ascents, finds a width.  Each distinct entry
+    is then one LaurentPoly shared by every place it occurs: never write
+    into an entry, nor into its kernel dict.  Where it finds none, the
+    kernel-dict propagation gives the same columns in the same key order.
     """
     if d.costandard is not None:
         return d.costandard, "given"
@@ -289,6 +316,25 @@ def costandard_table(d: dm.OrbitDatum):
 
 
 @memoized
+def _ascent_plan(d: dm.OrbitDatum) -> list:
+    """[(p, rows)] in basis order for each parameter not on a closed orbit
+    that an ascent row from known columns reaches, rows being every such
+    (s, src, others) of ascent_sources(d)[p.id]; closed parameters are
+    known, and so is each parameter once listed."""
+    sources = ascent_sources(d)
+    known = {p.id for p in d.basis if d.orbit_by_id[p.orbit].closed}
+    plan = []
+    for p in d.basis:
+        if p.id in known:
+            continue
+        rows = [r for r in sources.get(p.id, ()) if all(x in known for x in (r[1], *r[2]))]
+        if rows:
+            known.add(p.id)
+            plan.append((p, rows))
+    return plan
+
+
+@memoized
 def _propagate(d: dm.OrbitDatum, every: bool):
     """(columns, taken): n_p for every parameter the ascents reach, in basis
     order, and the (src, s) each was taken from.  Closed orbits give
@@ -296,17 +342,18 @@ def _propagate(d: dm.OrbitDatum, every: bool):
     from known columns forces beta(m_p) = bar(T_s) beta(m_src) - sum of
     beta(m_o).  The first such candidate is kept; with every, the others
     are computed too, and DatumError is raised where one disagrees.
+
+    Without every the columns come from _packed_derivation when it runs;
+    otherwise, and with every, from _candidate on kernel dicts.  Both give
+    the same columns with the same key order.
     """
+    packed = None if every else _packed_derivation(d)
+    if packed is not None:
+        return packed[:2]
     table = build_action_table(d)
-    sources = ascent_sources(d)
     cols = {p.id: {p.id: ONE} for p in d.basis if d.orbit_by_id[p.orbit].closed}
     taken = set()
-    for p in d.basis:
-        if p.id in cols:
-            continue
-        rows = [r for r in sources.get(p.id, ()) if all(x in cols for x in (r[1], *r[2]))]
-        if not rows:
-            continue
+    for p, rows in _ascent_plan(d):
         col = _candidate(d, table, cols, p, *rows[0])
         for row in rows[1:] if every else ():
             if _candidate(d, table, cols, p, *row) != col:
@@ -334,6 +381,187 @@ def _candidate(d, table: ActionTable, cols, p, s: int, src: str, others) -> dict
     for o in others:
         vaccum(acc, {p.dim - dims[o].dim: -1}, cols[o].items())
     return acc
+
+
+@memoized
+def _packed_derivation(d: dm.OrbitDatum):
+    """(columns, taken, defective): the columns and taken that
+    _propagate(d, False) keeps, computed at q = 2^bits with exponent
+    offset 0, and whether _packed_defect_found finds a defect where
+    _induction_holds sums one (True too when a column is missing); None
+    where _derivation_width finds no width.
+
+    Each column replays _candidate's summing order on ints: for each entry
+    c of n_src, c q^(shift - 1) times each T_s entry, then
+    c (q^(shift - 1) - q^shift), then -q^(dim p - dim o) times each n_o,
+    a key dropped where its value cancels to 0.  An int is 0 iff its
+    polynomial is, so every column keeps _candidate's key order.  The
+    defects are summed on the same ints, and then each distinct int is
+    decoded once into one LaurentPoly that its equal entries share; the
+    ints are not kept.
+    """
+    table = build_action_table(d)
+    plan = _ascent_plan(d)
+    width = _derivation_width(d, table, plan)
+    if width is None:
+        return None
+    bits, los, lows = width
+    ts = [_packed_columns(table.columns[s], bits, lo) for s, lo in enumerate(los)]
+    dims = d.param_by_id
+    cols = {p.id: {p.id: 1} for p in d.basis if d.orbit_by_id[p.orbit].closed}
+    taken = set()
+    for p, rows in plan:
+        s, src, others = rows[0]
+        shift = p.dim - dims[src].dim
+        up = bits * (shift - 1 + los[s])
+        diagonal = (1 << bits * (shift - 1)) - (1 << bits * shift)
+        columns = ts[s]
+        source = cols[src]
+        acc: dict[str, int] = {}
+        for r, c in source.items():
+            c <<= up
+            for t, x in columns[r]:
+                v = acc.get(t, 0) + c * x
+                if v:
+                    acc[t] = v
+                else:
+                    acc.pop(t, None)
+        for r, c in source.items():
+            v = acc.get(r, 0) + c * diagonal
+            if v:
+                acc[r] = v
+            else:
+                acc.pop(r, None)
+        for o in others:
+            gap = bits * (p.dim - dims[o].dim)
+            for r, c in cols[o].items():
+                v = acc.get(r, 0) - (c << gap)
+                if v:
+                    acc[r] = v
+                else:
+                    acc.pop(r, None)
+        cols[p.id] = acc
+        taken.add((src, s))
+    defective = len(cols) < len(d.basis) or _packed_defect_found(
+        d, bits, los, lows, ts, cols, taken
+    )
+    shared: dict[int, LaurentPoly] = {}
+    out = {}
+    for p in d.basis:
+        col = cols.get(p.id)
+        if col is None:
+            continue
+        entries = out[p.id] = {}
+        for r, v in col.items():
+            poly = shared.get(v)
+            if poly is None:
+                poly = shared[v] = _decode(v, bits)
+            entries[r] = poly
+    return out, taken, defective
+
+
+def _packed_columns(columns, bits: int, lo: int) -> dict[str, list]:
+    """The T_s columns of one generator as (row, int) lists, each entry at
+    q = 2^bits with exponent offset lo; a coefficient object that many
+    rows share, such as ONE, is packed once."""
+    packs: dict[int, int] = {}
+    out = {}
+    for r, column in columns.items():
+        entries = out[r] = []
+        for t, a in column:
+            x = packs.get(id(a))
+            if x is None:
+                x = packs[id(a)] = ppack(a._c, bits, lo)
+            entries.append((t, x))
+    return out
+
+
+def _decode(v: int, bits: int) -> LaurentPoly:
+    """The polynomial whose packing at q = 2^bits, exponent offset 0, is v."""
+    return LaurentPoly._raw(punpack(v, bits, 0))
+
+
+def _derivation_width(d: dm.OrbitDatum, table: ActionTable, plan):
+    """(bits, los, lows) for _packed_derivation and _packed_defect_found,
+    or None where they cannot run, found from the action table and the
+    plan alone, before anything is packed.
+
+    For each generator s: t_s is the largest sum of absolute coefficients
+    of a T_s column, and los[s] and his[s] the lowest and highest T_s
+    exponents, capped at 0.  bar(T_s) m_r = q^-1 T_s m_r + (q^-1 - 1) m_r,
+    so a bar(T_s) column sums at most t_s + 2, with exponents from
+    los[s] - 1 to max(his[s] - 1, 0); lows[s] is the lowest exponent of a
+    defect multiplier, that or a bar(a_t) q^(dim p - dim t).  Along the
+    plan, nu = 1 on a closed parameter and
+    nu(p) = nu(src) (t_s + 2) + sum of nu(o) bound every coefficient of
+    every partial sum of a column, and a defect sums at most
+    nu_max (2 t_s + 2).  bits is one past the bit length of the larger
+    bound, so every coefficient c has |c| < 2^(bits - 1) and an int is 0
+    iff its polynomial is.
+
+    Offset 0 needs every multiplier exponent >= 0: shift >= 1,
+    los[s] + shift - 1 >= 0 and dim p - dim o >= 0.  The top exponent
+    follows the plan too: 0 on a closed parameter, else the largest of
+    top(src) + shift - 1 + his[s], top(src) + shift and each
+    top(o) + dim p - dim o.  A defect adds the span of its multipliers.
+    bits times the digits must not pass MAX_PACKED_BITS, so a wide entry
+    such as q^100000 packs nothing.
+    """
+    dims = {p.id: p.dim for p in d.params}
+    # (norm, lowest exponent, highest exponent) of each coefficient object
+    stats: dict[int, tuple[int, int, int]] = {}
+    norms, los, his, lows = [], [], [], []
+    span = 0
+    for s in range(d.coxeter.rank):
+        t = lo = hi = low = high = 0
+        for pid, column in table.columns[s].items():
+            dp = dims[pid]
+            n = 0
+            for target, a in column:
+                st = stats.get(id(a))
+                if st is None:
+                    c = a._c
+                    st = stats[id(a)] = (pnorm(c), min(c), max(c))
+                norm, e0, e1 = st
+                n += norm
+                gap = dp - dims[target]
+                # comparisons, not min and max: this loop meets every T_s entry
+                if e0 < lo:
+                    lo = e0
+                if e1 > hi:
+                    hi = e1
+                if gap - e1 < low:
+                    low = gap - e1
+                if gap - e0 > high:
+                    high = gap - e0
+            if n > t:
+                t = n
+        low = min(low, lo - 1)
+        norms.append(t)
+        los.append(lo)
+        his.append(hi)
+        lows.append(low)
+        span = max(span, max(high, hi - 1) - low)
+    closed = [p.id for p in d.basis if d.orbit_by_id[p.orbit].closed]
+    nu, top = dict.fromkeys(closed, 1), dict.fromkeys(closed, 0)
+    for p, rows in plan:
+        s, src, others = rows[0]
+        shift = p.dim - dims[src]
+        if shift < 1 or los[s] + shift - 1 < 0:
+            return None
+        n = nu[src] * (norms[s] + 2)
+        high = top[src] + shift - 1 + max(his[s], 1)
+        for o in others:
+            gap = p.dim - dims[o]
+            if gap < 0:
+                return None
+            n += nu[o]
+            high = max(high, top[o] + gap)
+        nu[p.id], top[p.id] = n, high
+    bound = max(nu.values(), default=1) * (2 * max(norms, default=0) + 2)
+    bits = bound.bit_length() + 1
+    digits = max(top.values(), default=0) + span + 1
+    return (bits, los, lows) if bits * digits <= MAX_PACKED_BITS else None
 
 
 def beta(x: ModuleVector, d: dm.OrbitDatum) -> ModuleVector:
@@ -379,10 +607,15 @@ def _induction_holds(d: dm.OrbitDatum) -> bool:
     behind a clean quadratic_problems (see the module docstring): _defect
     is summed at each p of unreached(d, (s,)) but a (src, s) that
     _propagate took for a derived table, which holds by construction.
+    _packed_derivation sums the defects of a table it derives itself, on
+    its ints.
     """
     if quadratic_problems(d):
         return False
     if d.costandard is None:
+        packed = _packed_derivation(d)
+        if packed is not None:
+            return not packed[2]
         cols, taken = _propagate(d, False)
     else:
         cols, taken = d.costandard, set()
@@ -408,6 +641,43 @@ def _defect(d, table: ActionTable, cols, s: int, p) -> dict:
     for t, a in table.columns[s][p.id]:
         vaccum(acc, pmonmul(pbar(a._c), -1, p.dim - dims[t].dim), cols[t].items())
     return acc
+
+
+def _packed_defect_found(d, bits: int, los, lows, ts, cols, taken) -> bool:
+    """Whether _defect is nonzero at a (p, s) that _induction_holds sums,
+    on the packed columns of _packed_derivation.
+
+    bar(T_s) n_p = sum over the entries c of n_p at r of
+    c (q^-1 T_s m_r + (q^-1 - 1) m_r), read off the packed T_s columns, so
+    no bar(T_s) column is built; each bar(a_t) q^(dim p - dim t) is packed
+    once.  Everything sits at exponent offset lows[s], below every
+    multiplier, so a row of the defect is 0 iff its int is
+    (_derivation_width).
+    """
+    dims = d.param_by_id
+    table = build_action_table(d)
+    for s, columns in enumerate(ts):
+        low = lows[s]
+        # c q^-1 a at offset low is (c << up) times a packed at los[s]
+        up = bits * (los[s] - low - 1)
+        diagonal = (1 << bits * (-1 - low)) - (1 << bits * -low)
+        for pid in unreached(d, (s,)):
+            if (pid, s) in taken:
+                continue
+            p = dims[pid]
+            acc: dict[str, int] = {}
+            for r, c in cols[pid].items():
+                acc[r] = acc.get(r, 0) + c * diagonal
+                c <<= up
+                for t, x in columns[r]:
+                    acc[t] = acc.get(t, 0) + c * x
+            for t, a in table.columns[s][pid]:
+                x = ppack(pbar(a._c), bits, low - p.dim + dims[t].dim)
+                for r, c in cols[t].items():
+                    acc[r] = acc.get(r, 0) - c * x
+            if any(acc.values()):
+                return True
+    return False
 
 
 def _bar_ts_columns(columns) -> dict[str, list]:

@@ -124,17 +124,20 @@ def klv_table(d: dm.OrbitDatum) -> KLVTable:
         if delta.id in sources:
             # validation puts every ascent source at a lower dimension
             s, src, _ = sources[delta.id][0]
-            seed = columns[src]
-            col = _selfdual_column(d, columns, delta, action.apply(s, seed) + seed)
+            seed = columns[src].terms
+            # apply_terms hands back fresh dicts, so v is owned and consumed
+            v = action.apply_terms(s, {pid: c._c for pid, c in seed.items()})
+            vaccum(v, ONE._c, seed.items())
+            col = _selfdual_column(d, columns, delta, v)
         columns[delta.id] = col if col is not None else _costandard_column(d, columns, delta)
     return KLVTable(d, columns)
 
 
-def _selfdual_column(d: dm.OrbitDatum, columns, delta, v: hm.ModuleVector):
-    """L_delta from a vector v that beta fixes up to q^-dim(delta), by the
-    symmetric top-down sweep over the lower columns; None unless v is
-    m_delta plus terms below delta."""
-    acc = {pid: dict(c._c) for pid, c in v.coords.items()}
+def _selfdual_column(d: dm.OrbitDatum, columns, delta, acc: dict):
+    """L_delta from a vector that beta fixes up to q^-dim(delta), by the
+    symmetric top-down sweep over the lower columns; None unless it is
+    m_delta plus terms below delta.  acc holds the vector as {parameter:
+    kernel dict} and is consumed in place, so its dicts must be its own."""
     index = d.basis_index
     if acc.get(delta.id) != ONE._c or max(acc, key=index.__getitem__) != delta.id:
         return None

@@ -27,8 +27,9 @@ polynomial multiplication via multipoint Kronecker substitution", J.
 Symbolic Comput. 44 (2009)): a kernel dict at q = 2^B is one integer, so a
 product of polynomials is one big-integer multiply.  While every
 coefficient c of a result has |c| < 2^(B-1), its signed base-2^B digits are
-its coefficients.  The Ext pairing and the C_w . L_tau pass of klv both run
-on them, under the common width cap MAX_PACKED_BITS.
+its coefficients.  The Ext pairing, the C_w . L_tau pass of klv and the
+derivation of a missing costandard table in hmodule run on them, under the
+common width cap MAX_PACKED_BITS.
 
 Combination is a finite Z[q, q^-1]-combination of keys over one owner,
 with its arithmetic on the kernel dicts; hecke.HeckeElt (the Hecke algebra
@@ -143,7 +144,9 @@ def vaccum(acc, c, column):
 # entry q^1000000 would make every packed entry a megabit.  The Ext pairing
 # of the builtins and of hecke-regular G2, C3, D4 and B4 needs at most 294
 # bits (B4: B = 14 over 21 exponents), the C_w . L_tau pass of klv 1,716 at
-# B4 (B = 52 over 33 exponents) and 5,194 at F4 (B = 106 over 49).
+# B4 (B = 52 over 33 exponents) and 5,194 at F4 (B = 106 over 49), and the
+# derived costandard table of hmodule 756 at B4 (B = 42 over 18) and 1,560
+# at F4 (B = 60 over 26).
 MAX_PACKED_BITS = 8192
 
 

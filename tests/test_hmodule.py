@@ -1,5 +1,6 @@
 import json
 import random
+import types
 
 import pytest
 
@@ -8,7 +9,7 @@ from klvwb import hecke
 from klvwb import hmodule as hm
 from klvwb.cli import main
 from klvwb.errors import DatumError, MissingCostandard, SystemMismatch
-from klvwb.laurent import ONE, LaurentPoly, parse_poly
+from klvwb.laurent import ONE, LaurentPoly, parse_poly, punpack
 from test_datum import assert_derivation_matches_the_dense_one
 
 
@@ -194,20 +195,193 @@ def _relabelled(obj, rng):
 _HR = [f"hecke-regular:{t}" for t in ("A1", "A2", "B2", "G2", "A3", "C3", "D4")]
 
 
+def _stripped(name, seed=None):
+    """The JSON text of a builtin without its costandard table, relabelled
+    and shuffled from seed unless it is None."""
+    obj = dm.builtin_datum(name).to_jsonable()
+    del obj["costandard"]
+    if seed is not None:
+        obj = _relabelled(obj, random.Random(seed))
+    return json.dumps(obj)
+
+
+def _width_spy(monkeypatch, decline=False):
+    """Record what each _derivation_width call returns; with decline, it
+    returns None, which sends the derivation down the kernel path."""
+    seen = []
+    width = hm._derivation_width
+
+    def spy(d, table, plan):
+        out = None if decline else width(d, table, plan)
+        seen.append(out)
+        return out
+
+    monkeypatch.setattr(hm, "_derivation_width", spy)
+    return seen
+
+
+def _columns(table):
+    return [(c, list(r.items())) for c, r in table.items()]
+
+
 @pytest.mark.parametrize(
     "name, seed",
     [(name, None) for name in ["sl2-T", "sl2-N", *_HR]]
     + [(name, seed) for name in _HR[1:-1] for seed in (1, 2)]
     + [(_HR[-1], 1)],
 )
-def test_derived_costandard_matches_the_dense_propagation(name, seed):
+def test_derived_costandard_matches_the_dense_propagation(monkeypatch, name, seed):
     # every column and every row in the same order as the ModuleVector
-    # propagation: the non-lower term lines of costandard-involution follow it
-    obj = dm.builtin_datum(name).to_jsonable()
-    del obj["costandard"]
-    if seed is not None:
-        obj = _relabelled(obj, random.Random(seed))
-    assert_derivation_matches_the_dense_one(dm.load_datum(json.dumps(obj)))
+    # propagation: the non-lower term lines of costandard-involution follow
+    # it; and the packed derivation is the kernel one, taken included
+    text = _stripped(name, seed)
+    assert_derivation_matches_the_dense_one(dm.load_datum(text))
+    packed, kernel = _assert_packed_matches_kernel(monkeypatch, text)
+    if len(hm._propagate(packed, False)[0]) == len(packed.basis):
+        assert hm._induction_holds(packed) is hm._induction_holds(kernel) is True
+
+
+@pytest.mark.parametrize(
+    "name, orbit, field, value",
+    [
+        # n[1] = m[1] cancels (1-q)(q-1) m[1] in the diagonal step of n[1.2.1]
+        ("hecke-regular:A2", "1", "closed", True),
+        # q^0 n[pInf] cancels the cross term of n[wt] in its last step
+        ("sl2-T", "inf", "dim", 1),
+    ],
+)
+def test_packed_derivation_drops_a_cancelled_key_as_the_kernel_does(
+    monkeypatch, name, orbit, field, value
+):
+    obj = json.loads(_stripped(name))
+    next(o for o in obj["orbits"] if o["id"] == orbit)[field] = value
+    _assert_packed_matches_kernel(monkeypatch, json.dumps(obj))
+
+
+def _assert_packed_matches_kernel(monkeypatch, text):
+    """The packed derivation of the datum text equals the kernel one that a
+    declined width forces: values, key order and taken.  Returns the two
+    datums."""
+    packed, kernel = dm.load_datum(text), dm.load_datum(text)
+    assert hm._packed_derivation(packed) is not None
+    seen = _width_spy(monkeypatch, decline=True)
+    got, want = hm._propagate(packed, False), hm._propagate(kernel, False)
+    assert seen == [None]
+    assert _columns(got[0]) == _columns(want[0])
+    assert got[1] == want[1]
+    return packed, kernel
+
+
+# (s1, 1) of hecke-regular A2 without its costandard, rewritten so that
+# _derivation_width refuses the packed path: q^100000 would need 100,001
+# digits, q^-1 a negative exponent at offset 0, and 10^2500 about 8,300 bits
+# a digit; the kernel path gives what it gave before the packed one existed
+_REFUSED = {
+    "wide": {"e": "q^100000", "1": "-1+q"},
+    "negative": {"e": "q^-1", "1": "-1+q"},
+    "coefficient": {"e": f"{10 ** 2500}q", "1": "-1+q"},
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REFUSED))
+def test_a_derivation_the_width_refuses_takes_the_kernel_path(tmp_path, monkeypatch, capsys, case):
+    obj = json.loads(_stripped("hecke-regular:A2"))
+    obj["actions"]["1"]["1"] = {"case": "ExplicitRow", "coeffs": _REFUSED[case]}
+    path = tmp_path / "a2.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    seen = _width_spy(monkeypatch)
+    decoded = []
+    monkeypatch.setattr(hm, "_decode", lambda v, bits: decoded.append(v))
+    assert main(["validate", "--datum", str(path), "--format", "csv"]) == 1
+    assert capsys.readouterr().out == (
+        "status,check,detail\n"
+        "PASS,thm-order-reachability,\n"
+        "PASS,sstar-monotone,\n"
+        "FAIL,quadratic-relation,(T+1)(T-q) != 0 at (s1, e); (T+1)(T-q) != 0 at (s1, 1)\n"
+        "FAIL,braid-relations,braid (s1, s2) fails at 1; braid (s1, s2) fails at 2.1; "
+        "braid (s1, s2) fails at 1.2.1\n"
+        "FAIL,link-mirroring,(s1, e) AscentU link to 1 not mirrored\n"
+        "FAIL,costandard-involution,duality propagation inconsistent at parameter 1.2.1\n"
+        "PASS,dim-closure-consistency,\n"
+        "PASS,poincare-normalization,\n"
+    )
+    assert main(["klv", "--datum", str(path), "--format", "csv"]) == 1
+    assert capsys.readouterr().err == (
+        "klvwb: invalid datum: datum failed validation checks: quadratic-relation, "
+        "braid-relations, link-mirroring, costandard-involution\n"
+    )
+    assert seen and not any(seen)
+    assert decoded == []
+
+
+def test_a_declined_derivation_gives_the_same_bytes(tmp_path, monkeypatch, capsys):
+    # a valid datum past a tiny width cap: the kernel path, the same output
+    path = tmp_path / "a3.json"
+    path.write_text(_stripped("hecke-regular:A3", 5), encoding="utf-8")
+    outputs = []
+    for cap in (hm.MAX_PACKED_BITS, 8):
+        monkeypatch.setattr(hm, "MAX_PACKED_BITS", cap)
+        seen = _width_spy(monkeypatch)
+        for verb in ("klv", "validate"):
+            assert main([verb, "--datum", str(path), "--format", "csv"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert len(seen) == 2 and all(width is None for width in seen) is (cap == 8)
+    assert outputs[:2] == outputs[2:]
+
+
+def test_an_inconsistent_packed_derivation_is_still_reported(monkeypatch):
+    # the late disagreement of w0 in A3: the packed path keeps the first
+    # candidate, the induction fails, and the kernel pass names the parameter
+    obj = json.loads(_stripped("hecke-regular:A3"))
+    next(o for o in obj["orbits"] if o["id"] == "1.2.1.3.2")["closed"] = True
+    d = dm.load_datum(json.dumps(obj))
+    seen = _width_spy(monkeypatch)
+    message = "duality propagation inconsistent at parameter 1.2.1.3.2.1"
+    with pytest.raises(DatumError, match=f"^{message}$"):
+        hm.costandard_table(d)
+    assert len(seen) == 1 and seen[0] is not None
+    assert not hm._induction_holds(d)
+
+
+@pytest.mark.parametrize("name", ["hecke-regular:A3", "hecke-regular:C3"])
+def test_equal_entries_of_a_derived_table_are_one_object(name):
+    table, origin = hm.costandard_table(dm.load_datum(_stripped(name, 6)))
+    assert origin == "derived"
+    objects: dict[frozenset, set] = {}
+    for rows in table.values():
+        for c in rows.values():
+            objects.setdefault(frozenset(c._c.items()), set()).add(id(c))
+    assert all(len(ids) == 1 for ids in objects.values())
+    assert sum(map(len, table.values())) > 2 * len(objects)
+
+
+def test_read_only_shared_entries_change_no_output(tmp_path, monkeypatch, capsys):
+    # every decoded entry is a read-only view: a write into a shared entry
+    # anywhere downstream raises, and the bytes are those of plain dicts
+    names = ["sl2-T", "sl2-N", *_HR]
+    for n, name in enumerate(names):
+        (tmp_path / f"{n}.json").write_text(_stripped(name), encoding="utf-8")
+    runs = [
+        [verb, "--datum", str(tmp_path / f"{n}.json"), "--format", "csv"]
+        for n in range(len(names))
+        for verb in ("klv", "validate", "check", "ext")
+    ]
+    decoded = []
+
+    def read_only(v, bits):
+        decoded.append(v)
+        return LaurentPoly._raw(types.MappingProxyType(punpack(v, bits, 0)))
+
+    outputs = []
+    for decode in (hm._decode, read_only):
+        monkeypatch.setattr(hm, "_decode", decode)
+        for argv in runs:
+            code = main(argv)
+            outputs.append((code, capsys.readouterr()))
+    assert outputs[: len(runs)] == outputs[len(runs) :]
+    assert decoded
+    # past the two sl2 datums, whose tables do not derive, every run passes
+    assert all(code == 0 for code, _ in outputs[8 : len(runs)])
 
 
 def test_ascent_sources_index_u_and_t_ascents_by_target():

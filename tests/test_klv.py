@@ -127,8 +127,13 @@ def test_sweep_removes_any_symmetric_lower_combination(name):
         gap = delta.dim - gamma.dim
         c = LaurentPoly({-1: 2, gap + 1: 2, gap // 2: 3, gap - gap // 2: 3})
         v = v + table.column(gamma.id).scale(c)
-    assert klv._selfdual_column(d, table.columns, delta, v) == table.column(delta.id)
-    assert klv._selfdual_column(d, table.columns, delta, v.scale(ONE + ONE)) is None
+
+    def owned(vector):
+        # the sweep consumes its argument: hand it fresh kernel dicts
+        return {pid: dict(c._c) for pid, c in vector.terms.items()}
+
+    assert klv._selfdual_column(d, table.columns, delta, owned(v)) == table.column(delta.id)
+    assert klv._selfdual_column(d, table.columns, delta, owned(v.scale(ONE + ONE))) is None
 
 
 def test_incompatible_duality_falls_back_to_beta_correction():
