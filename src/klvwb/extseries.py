@@ -85,17 +85,37 @@ in slot order, to its PoincareSeries: each distinct series is decoded,
 multiplied and reduced once per datum, and every pair and IC series with
 those terms shares the object.  The render table maps each series object
 to its render_series text and each (series, offset, window) to its degree
-line, so a series is rendered once per datum and a line is made once.  A
-new line expands its series afresh: keeping the expansions would hold a
-window of coefficients per series.  Packed keys are small: a weight of a
-few dozen terms is one int of a few hundred bits.
+line, so a series is rendered once per datum and a line is made once,
+from one laurent.expansion list.  A new line expands its series afresh:
+keeping the expansions would hold a window of coefficients per series.
+Packed keys are small: a weight of a few dozen terms is one int of a few
+hundred bits.
 
-sweep_rows, the full sweep of the CLI, reads its rows straight off _pair
-and _ic_row through the render table, with no ExtSeries per pair; ext_row
-shares its row generator.
+sweep_rows, the full sweep of the CLI, pairs only the upper triangle.
+Row j runs _pair from basis index j, each Q row sliced at its first
+gamma_i with i >= j, so it makes about half the multiply-adds of full
+rows.  The pair (tau_i, gamma_j) below it, i > j, is the mirror of
+(tau_j, gamma_i), and by the duality (ext_row) every term of the pairing
+agrees but for the shift: its weight in each slot is q^-k times the upper
+weight, k = dim tau_i - dim tau_j.  That is exact on the packed ints.
+Both weights are sums of products packed at lo_left + lo_q, so each is
+sum_e c_e 2^(B(e - lo_left - lo_q)) with every e - lo_left - lo_q >= 0,
+and ppack(q^k w) = 2^(Bk) ppack(w): the upper int is the lower one times
+2^(Bk), so the lower is the upper shifted right by Bk bits (left by -Bk
+when k < 0), with nothing lost, and a zero weight stays zero.  The
+shifted terms are then the very key that pairing the lower row would
+build, with the same slots in the same order, so they find the same
+series-table object, decoded and summed in the same fold order, and the
+same render entries: the output bytes and the sharing are those of full
+rows.  Row j keeps one reference for each mirror it makes, the shared
+series object, for row i to render, and no key or row.  ext_row,
+ext_poincare and the IC row pair full rows, and no ExtSeries is built per
+pair.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left
 
 from . import datum as dm
 from . import klv as klvmod
@@ -105,6 +125,7 @@ from .laurent import (
     MAX_PACKED_BITS,
     LaurentPoly,
     PoincareSeries,
+    expansion,
     pbar,
     pnorm,
     ppack,
@@ -139,10 +160,15 @@ class ExtSeries(Record):
         return _dims(self.series, self.degree_offset, window)
 
 
+def _expansion(series: PoincareSeries, window: int) -> tuple[int, list[int]]:
+    """laurent.expansion up to q^window, from the lower of q^0 and the
+    numerator's lowest term."""
+    return expansion(series, min(0, min(series.num._c, default=0)), window)
+
+
 def _dims(series: PoincareSeries, offset: int, window: int) -> dict[int, int]:
-    lo = min(0, min(series.num._c, default=0))
-    exp = series.expand(lo, window)
-    return {2 * m - offset: c for m, c in sorted(exp.items()) if c}
+    first, coeffs = _expansion(series, window)
+    return {2 * m - offset: c for m, c in enumerate(coeffs, first) if c}
 
 
 @memoized
@@ -229,15 +255,16 @@ def _tables(d: dm.OrbitDatum) -> tuple[dict, dict]:
     return {}, {}
 
 
-def _pair(d: dm.OrbitDatum, left: dict) -> list[PoincareSeries]:
-    """For every gamma in basis order, the series sum over eps of
-    left[eps] * Q[eps, gamma] * poincare[eps], over the _q_rows; left[eps]
-    is packed at lo_left (_packing).
+def _pair(d: dm.OrbitDatum, left: dict, start: int = 0) -> list[tuple[tuple, PoincareSeries]]:
+    """For every gamma of basis index at least start, in basis order, the
+    key and series of the sum over eps of left[eps] * Q[eps, gamma] *
+    poincare[eps], over the _q_rows; left[eps] is packed at lo_left
+    (_packing).
 
-    The products are accumulated per (slot, gamma).  Each series' nonzero
-    weights, in slot order, key the series table; a new key is decoded and
-    summed in slot order, each term reduced as it is added."""
-    slot, series = _slots(d)
+    The products are accumulated per (slot, gamma), each Q row from its
+    first gamma at or after start.  Each series' nonzero weights, in slot
+    order, are its key in the series table (_series)."""
+    slot, _ = _slots(d)
     rows = _q_rows(d)
     n = len(d.basis)
     weights: dict[int, list[int]] = {}
@@ -245,22 +272,31 @@ def _pair(d: dm.OrbitDatum, left: dict) -> list[PoincareSeries]:
         per = weights.get(slot[eps])
         if per is None:
             per = weights[slot[eps]] = [0] * n
-        for i, b in zip(*rows[eps]):
+        indices, polys = rows[eps]
+        k = bisect_left(indices, start)
+        for i, b in zip(indices[k:], polys[k:]):
             per[i] += a * b
     slots = sorted(weights.items())
     built, _ = _tables(d)
     out = []
-    for i in range(n):
-        key = tuple((s, per[i]) for s, per in slots if per[i])
+    for i in range(start, n):
+        key = tuple([(s, per[i]) for s, per in slots if per[i]])
         total = built.get(key)
-        if total is None:
-            bits, lo_left, lo_q = _packing(d)
-            total = PoincareSeries.zero()
-            for s, w in key:
-                total = total + series[s] * LaurentPoly._raw(punpack(w, bits, lo_left + lo_q))
-            built[key] = total
-        out.append(total)
+        out.append((key, _series(d, key) if total is None else total))
     return out
+
+
+def _series(d: dm.OrbitDatum, key: tuple) -> PoincareSeries:
+    """The series of a key missing from the series table, stored there: its
+    weights decoded and summed in slot order, each term reduced as it is
+    added."""
+    bits, lo_left, lo_q = _packing(d)
+    _, series = _slots(d)
+    total = PoincareSeries.zero()
+    for s, w in key:
+        total = total + series[s] * LaurentPoly._raw(punpack(w, bits, lo_left + lo_q))
+    _tables(d)[0][key] = total
+    return total
 
 
 def _known(d: dm.OrbitDatum, *pids: str) -> None:
@@ -280,7 +316,7 @@ def _row(d: dm.OrbitDatum, tau: str):
     """(gamma, Ext(tau, gamma) series, degree offset) for every gamma in
     basis order, from one pass over P[., tau] and the Q rows."""
     dim = d.param_by_id[tau].dim
-    for gamma, total in zip(d.basis, _pair(d, _bar_column(d, tau))):
+    for gamma, (_, total) in zip(d.basis, _pair(d, _bar_column(d, tau))):
         yield gamma.id, total, gamma.dim - dim
 
 
@@ -308,7 +344,8 @@ def _ic_row(d: dm.OrbitDatum) -> list[PoincareSeries]:
     """The IC series of every tau in basis order: the pairing of the
     all-ones column."""
     bits, lo_left, _ = _packing(d)
-    return _pair(d, dict.fromkeys(d.basis_index, ppack({0: 1}, bits, lo_left)))
+    ones = dict.fromkeys(d.basis_index, ppack({0: 1}, bits, lo_left))
+    return [total for _, total in _pair(d, ones)]
 
 
 def ic_cohomology(d: dm.OrbitDatum, tau: str) -> ExtSeries:
@@ -329,8 +366,10 @@ def _render(memo: dict, series: PoincareSeries, offset: int, window: int) -> tup
     key = (id(series), offset, window)
     degrees = memo.get(key)
     if degrees is None:
-        dims = _dims(series, offset, window).items()
-        degrees = memo[key] = ";".join(f"{deg}:{dim}" for deg, dim in dims)
+        first, coeffs = _expansion(series, window)
+        degrees = memo[key] = ";".join(
+            [f"{2 * m - offset}:{c}" for m, c in enumerate(coeffs, first) if c]
+        )
     return hit[1], degrees
 
 
@@ -343,11 +382,36 @@ def series_row(es: ExtSeries, window: int = 10) -> tuple[str, str, str, str]:
 
 def sweep_rows(d: dm.OrbitDatum, window: int = 10):
     """The series_row of every ext_row in basis order, then of every
-    ic_cohomology, yielded one row at a time.  The rows come from _pair and
-    _ic_row through the datum's render table, with no ExtSeries between."""
-    _, memo = _tables(d)
-    for tau in d.basis:
-        for gamma, total, offset in _row(d, tau.id):
-            yield (tau.id, gamma, *_render(memo, total, offset, window))
+    ic_cohomology, yielded one row at a time, through the datum's render
+    table, with no ExtSeries between.
+
+    Row j pairs only the gammas of basis index i >= j (_pair from j).  For
+    i > j the pair (tau_i, gamma_j) is the mirror of (tau_j, gamma_i): its
+    key is the upper key with each weight shifted by B (dim gamma_i -
+    dim tau_j) bits (module docstring).  Row j resolves it to its series
+    object and leaves it in below[i], which row i renders in j order and
+    drops."""
+    bits, _, _ = _packing(d)
+    built, memo = _tables(d)
+    below: list = [[] for _ in d.basis]
+    for j, tau in enumerate(d.basis):
+        for gamma, total in zip(d.basis, below[j]):
+            yield (tau.id, gamma.id, *_render(memo, total, gamma.dim - tau.dim, window))
+        below[j] = None
+        for i, (key, total) in enumerate(_pair(d, _bar_column(d, tau.id), j), j):
+            gamma = d.basis[i]
+            offset = gamma.dim - tau.dim
+            yield (tau.id, gamma.id, *_render(memo, total, offset, window))
+            if i == j:
+                continue
+            if offset:
+                shift = bits * offset
+                if shift > 0:
+                    key = tuple([(s, w >> shift) for s, w in key])
+                else:
+                    key = tuple([(s, w << -shift) for s, w in key])
+                mirror = built.get(key)
+                total = _series(d, key) if mirror is None else mirror
+            below[i].append(total)
     for tau, total in zip(d.basis, _ic_row(d)):
         yield (tau.id, "", *_render(memo, total, tau.dim, window))

@@ -40,6 +40,7 @@ basis) are its two kinds.
 from __future__ import annotations
 
 import re
+from itertools import accumulate
 
 from .errors import DomainError, SystemMismatch
 
@@ -434,7 +435,7 @@ def _den_poly(factors) -> LaurentPoly:
     return out
 
 
-# The widest span PoincareSeries.expand walks, from the lower end of its
+# The widest span that expansion walks, from the lower end of its
 # window or of its numerator up to hi.  The CLI caps --window at 10,000, and
 # the Ext and IC numerators of the builtins and of hecke-regular G2 and C3
 # start at q^-2 or above, so this leaves room for numerators down to about
@@ -523,35 +524,10 @@ class PoincareSeries:
         raise TypeError("PoincareSeries is not hashable")
 
     def expand(self, lo: int, hi: int) -> dict[int, int]:
-        """Coefficients of the power-series expansion for exponents in [lo, hi].
-
-        Multiplying by 1/(1-q^a) = sum_j q^{aj} is a running sum along each
-        residue chain mod a: out[x] = cur[x] + out[x-a], done in place from
-        the lowest numerator exponent m up to hi.  The cost is
-        O(#den * (hi - m)), linear in the window for any number of factors,
-        and a window reaching more than MAX_EXPANSION_SPAN exponents below
-        hi, from lo or from m, raises DomainError.
-        """
-        if hi < lo:
-            raise DomainError("empty expansion window")
-        span = hi - min(lo, min(self.num._c, default=lo))
-        if span > MAX_EXPANSION_SPAN:
-            raise DomainError(
-                f"expanding up to q^{hi} would span {span} exponents, "
-                f"more than {MAX_EXPANSION_SPAN}"
-            )
-        terms = {e: c for e, c in self.num._c.items() if e <= hi}
-        if not self.den or not terms:
-            return {e: c for e, c in terms.items() if lo <= e}
-        base = min(terms)
-        cur = [0] * (hi - base + 1)
-        for e, c in terms.items():
-            cur[e - base] = c
-        for a in self.den:
-            for x in range(a, len(cur)):
-                cur[x] += cur[x - a]
-        start = max(lo - base, 0)
-        return {base + i: c for i, c in enumerate(cur[start:], start) if c}
+        """{exponent: nonzero coefficient} of the power-series expansion for
+        exponents in [lo, hi], read off expansion(self, lo, hi)."""
+        first, coeffs = expansion(self, lo, hi)
+        return {e: c for e, c in enumerate(coeffs, first) if c}
 
     def coefficient(self, m: int) -> int:
         return self.expand(m, m).get(m, 0)
@@ -561,6 +537,48 @@ class PoincareSeries:
 
     def __repr__(self) -> str:
         return f"PoincareSeries({render_series(self)!r})"
+
+
+def expansion(s: PoincareSeries, lo: int, hi: int) -> tuple[int, list[int]]:
+    """(first, coefficients): the power-series coefficients of s at
+    q^first, q^(first+1), ... up to q^hi, first >= lo, zeros included; a
+    polynomial's list stops at its top term.
+
+    Multiplying by 1/(1-q^a) = sum_j q^{aj} is a running sum along each
+    residue chain mod a, one itertools.accumulate per chain, from the lowest
+    numerator exponent m up to hi.  The cost is O(#den * (hi - m)), linear
+    in the window for any number of factors, and a window reaching more
+    than MAX_EXPANSION_SPAN exponents below hi, from lo or from m, raises
+    DomainError.
+    """
+    if hi < lo:
+        raise DomainError("empty expansion window")
+    num = s.num._c
+    base = min(num, default=lo)
+    span = hi - min(lo, base)
+    if span > MAX_EXPANSION_SPAN:
+        raise DomainError(
+            f"expanding up to q^{hi} would span {span} exponents, "
+            f"more than {MAX_EXPANSION_SPAN}"
+        )
+    top = max(num, default=hi + 1)
+    if top > hi:
+        num = {e: c for e, c in num.items() if e <= hi}
+        if not num:
+            return lo, []
+        base, top = min(num), max(num)
+    cur = [0] * ((hi if s.den else top) - base + 1)
+    for e, c in num.items():
+        cur[e - base] = c
+    for a in s.den:
+        if a == 1:
+            cur = list(accumulate(cur))
+        else:
+            for r in range(min(a, len(cur) - a)):
+                cur[r::a] = accumulate(cur[r::a])
+    if lo > base:
+        return lo, cur[lo - base:]
+    return base, cur
 
 
 def _multiset_max(a, b):

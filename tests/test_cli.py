@@ -3,6 +3,7 @@ import gc
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import weakref
@@ -17,6 +18,7 @@ from klvwb import datum as dm
 from klvwb.cli import MAX_WINDOW, main
 from klvwb.errors import DatumFormatError, UnsupportedType
 from klvwb.laurent import MAX_QUOTIENT_TERMS
+from test_hmodule import _relabelled
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -453,6 +455,22 @@ def test_check_reports_failures(tmp_path):
     code, body = run_to_file(tmp_path, ["check", "--datum", str(broken)])
     assert code == 1
     assert b"FAIL" in body and b"validation" in body
+
+
+@pytest.mark.parametrize("costandard", [True, False])
+def test_check_skips_the_cross_oracle_on_a_relabelled_dump(tmp_path, capsys, costandard):
+    # the name still says hecke-regular, but no column id is an element token
+    obj = _relabelled(dm.builtin_datum("hecke-regular:A1").to_jsonable(), random.Random(3))
+    if not costandard:
+        del obj["costandard"]
+    path = tmp_path / "a1.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    assert main(["check", "--datum", str(path), "--format", "csv"]) == 0
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert "PASS,cross-oracle,parameter ids are not the element tokens; skipped" in lines
+    assert [line[:4] for line in lines[1:]] == ["PASS"] * 8
+    assert "Traceback" not in captured.err
 
 
 def test_ext_single_pair(capsys):

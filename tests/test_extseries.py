@@ -1,6 +1,7 @@
 import functools
 import json
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings
@@ -353,14 +354,21 @@ def test_grouped_sum_renders_as_the_fold(drawn):
     assert_series_parity_matches_the_sweep(d)
 
 
+def _with_mixed_factors(obj):
+    """obj with three Poincare series, two of them over mixed factors,
+    dealt out in sorted id order, as the mixed-factor step of CI does."""
+    tables = [{"num": "1-3q^3", "den": [2, 2, 3]}, {"num": "1", "den": [2, 2, 2, 2]},
+              {"num": "1", "den": []}]
+    obj["poincare"] = {pid: tables[i % 3] for i, pid in enumerate(sorted(obj["poincare"]))}
+    return obj
+
+
 @pytest.mark.parametrize("mixed", [False, True])
 def test_a3_rows_render_as_the_fold(mixed):
     # A3 is the smallest builtin whose P table has entries that bar moves
     obj = dict(_dump("hecke-regular:A3"))
     if mixed:
-        tables = [{"num": "1-3q^3", "den": [2, 2, 3]}, {"num": "1", "den": [2, 2, 2, 2]},
-                  {"num": "1", "den": []}]
-        obj["poincare"] = {pid: tables[i % 3] for i, pid in enumerate(sorted(obj["poincare"]))}
+        obj = _with_mixed_factors(obj)
     d = dm.load_datum(obj)
     assert (ext._slots(d)[0] is d.basis_index) == mixed
     assert any(p != p.bar() for _, _, p in klv.klv_table(d).rows())
@@ -600,16 +608,34 @@ def _api_rows(d, window):
     return rows + [ext.series_row(ext.ic_cohomology(d, tau.id), window) for tau in d.basis]
 
 
+def _sweep_dump(name, seed):
+    """The JSON text of a dump of the builtin: relabelled for an int seed,
+    with the mixed factors of CI for "mixed", and for "negative" with the
+    costandard entry q^-3 - q^4, which puts q^-3 into P."""
+    obj = dm.builtin_datum(name).to_jsonable()
+    if seed == "mixed":
+        obj = _with_mixed_factors(obj)
+    elif seed == "negative":
+        obj["costandard"]["wt"]["p0"] = "q^-3-q^4"
+    else:
+        obj = _relabelled(obj, random.Random(seed))
+    return json.dumps(obj)
+
+
 @pytest.mark.parametrize("window", [0, 3, 10])
 @pytest.mark.parametrize(
-    "name, seed", [(name, None) for name in _SWEEP_DATUMS] + [("hecke-regular:C3", 5)]
+    "name, seed",
+    [(name, None) for name in _SWEEP_DATUMS]
+    + [("hecke-regular:C3", 5), ("hecke-regular:C3", "mixed"), ("sl2-T", "negative")],
 )
 def test_the_cli_sweep_matches_the_api(tmp_path, name, seed, window):
+    # the sweep pairs only the upper triangle and reads the rest off the
+    # shifted keys; the API pairs every full row
     if seed is None:
         source = ["--builtin", name]
         fresh = functools.partial(dm.builtin_datum, name)
     else:
-        text = json.dumps(_relabelled(dm.builtin_datum(name).to_jsonable(), random.Random(seed)))
+        text = _sweep_dump(name, seed)
         (tmp_path / "dump.json").write_text(text, encoding="utf-8")
         source = ["--datum", str(tmp_path / "dump.json")]
         fresh = functools.partial(dm.load_datum, text)
@@ -623,6 +649,56 @@ def test_the_cli_sweep_matches_the_api(tmp_path, name, seed, window):
     # on one datum the generator and the API share the tables, in either order
     d = fresh()
     assert list(ext.sweep_rows(d, window)) == want == _api_rows(d, window)
+    if seed == "mixed":
+        assert ext._slots(d)[0] is d.basis_index
+    if seed == "negative":
+        assert klv.klv_table(d).column("wt").coords["p0"]._c == {-3: 1}
+        assert {p.dim for p in d.basis} != {0}
+
+
+class _Traced(int):
+    """A packed int that logs (its tag, the other factor's tag) on each
+    product with another _Traced."""
+
+    def __new__(cls, value, tag, log):
+        self = super().__new__(cls, value)
+        self.tag, self.log = tag, log
+        return self
+
+    def __mul__(self, other):
+        self.log.append((self.tag, other.tag))
+        return int(self) * int(other)
+
+
+@pytest.mark.parametrize("name, seed", [("hecke-regular:C3", 5), ("hecke-regular:C3", "mixed")])
+def test_the_sweep_multiplies_only_the_upper_triangle(monkeypatch, name, seed):
+    # each bar(P[eps, tau_j]) is tagged j and each packed Q[eps, gamma_i] i:
+    # the sweep makes exactly the products of the full rows with i >= j
+    text = _sweep_dump(name, seed)
+    want = list(ext.sweep_rows(dm.load_datum(text)))
+    log = []
+    q_rows, bar_column = ext._q_rows, ext._bar_column
+
+    def traced_rows(d):
+        return {
+            eps: (indices, [_Traced(b, i, log) for i, b in zip(indices, packed)])
+            for eps, (indices, packed) in q_rows(d).items()
+        }
+
+    def traced_column(d, tau):
+        j = d.basis_index[tau]
+        return {eps: _Traced(a, j, log) for eps, a in bar_column(d, tau).items()}
+
+    monkeypatch.setattr(ext, "_q_rows", traced_rows)
+    monkeypatch.setattr(ext, "_bar_column", traced_column)
+    d = dm.load_datum(text)
+    for tau in d.basis:
+        ext.ext_row(d, tau.id)
+    full = Counter(log)
+    log.clear()
+    assert list(ext.sweep_rows(dm.load_datum(text))) == want
+    assert Counter(log) == Counter({(j, i): k for (j, i), k in full.items() if i >= j})
+    assert any(i < j for j, i in full)
 
 
 def test_a_weight_too_wide_to_pack_is_refused(tmp_path, capsys):

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from klvwb import laurent
@@ -415,3 +415,77 @@ def test_expand_cost_is_linear_in_the_window():
     got = PoincareSeries(ONE, [1, 1, 1]).expand(0, 100_000)
     assert len(got) == 100_001
     assert got[100_000] == 100_001 * 100_002 // 2
+
+
+def _dict_expand(series, lo, hi):
+    """The dict expansion that laurent.expansion replaced, kept as an
+    oracle: running sums out[x] = cur[x] + out[x-a] in place over one list,
+    read back into a dict."""
+    if hi < lo:
+        raise DomainError("empty expansion window")
+    span = hi - min(lo, min(series.num._c, default=lo))
+    if span > MAX_EXPANSION_SPAN:
+        raise DomainError(
+            f"expanding up to q^{hi} would span {span} exponents, "
+            f"more than {MAX_EXPANSION_SPAN}"
+        )
+    terms = {e: c for e, c in series.num._c.items() if e <= hi}
+    if not series.den or not terms:
+        return {e: c for e, c in terms.items() if lo <= e}
+    base = min(terms)
+    cur = [0] * (hi - base + 1)
+    for e, c in terms.items():
+        cur[e - base] = c
+    for a in series.den:
+        for x in range(a, len(cur)):
+            cur[x] += cur[x - a]
+    start = max(lo - base, 0)
+    return {base + i: c for i, c in enumerate(cur[start:], start) if c}
+
+
+@st.composite
+def _expansions(draw):
+    """(series, lo, hi): numerators down to q^-20, now and then with a term
+    near or past the span cap; denominators that mix factors a >= 2; and
+    windows from q^0 or from the lowest term, as a degree line reads them,
+    up to q^0 and beyond."""
+    coeffs = st.sampled_from([-4, -3, -2, -1, 1, 2, 3, 4])
+    num = draw(st.dictionaries(st.integers(-20, 20), coeffs, max_size=6))
+    if draw(st.integers(0, 9)) == 0:
+        num[-MAX_EXPANSION_SPAN - draw(st.integers(-3, 30))] = 1
+    mixed = st.lists(st.integers(2, 6), min_size=2, max_size=4).filter(lambda d: len(set(d)) > 1)
+    den = draw(st.one_of(st.lists(factors, max_size=4), mixed))
+    try:
+        s = PoincareSeries(LaurentPoly(num), den)
+    except DomainError:  # the far term made a quotient too long to build
+        assume(False)
+    if draw(st.booleans()):
+        return s, min(0, min(s.num._c, default=0)), draw(st.integers(0, 12))
+    lo = draw(st.integers(-25, 25))
+    return s, lo, lo + draw(st.integers(0, 30))
+
+
+@settings(deadline=None, max_examples=200)
+@given(drawn=_expansions())
+def test_list_expansion_matches_the_dict_expand(drawn):
+    s, lo, hi = drawn
+    span = hi - min(lo, min(s.num._c, default=lo))
+    if span > MAX_EXPANSION_SPAN:
+        message = (
+            f"expanding up to q^{hi} would span {span} exponents, "
+            f"more than {MAX_EXPANSION_SPAN}"
+        )
+        for expand in (laurent.expansion, PoincareSeries.expand, _dict_expand):
+            with pytest.raises(DomainError) as caught:
+                expand(s, lo, hi)
+            assert str(caught.value) == message
+        return
+    want = _dict_expand(s, lo, hi)
+    first, coeffs = laurent.expansion(s, lo, hi)
+    assert {e: c for e, c in enumerate(coeffs, first) if c} == want
+    assert s.expand(lo, hi) == want
+    assert lo <= first and first + len(coeffs) <= hi + 1
+    if want:
+        # the list starts at or below the lowest term, with no gap to hi
+        assert first <= min(want)
+        assert len(coeffs) == hi - first + 1 or not s.den
