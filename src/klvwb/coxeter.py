@@ -4,14 +4,17 @@ A CoxeterSystem is built from a Cartan matrix (or a named type label).  The
 roots are enumerated once, in the basis of simple roots; each group element
 is the permutation it induces on the root list.  This gives exact lengths
 (number of positive roots sent negative), cheap products, and no word
-normal-form issues.  Intended scale is rank <= 4, so everything is small.
+normal-form issues.
 
 Enumeration also numbers the elements 0..|W|-1 in breadth-first order and
 keeps integer tables of right and left multiplication by each generator and
 of lengths, so inner loops can run on ints, as in du Cloux's Coxeter
 program ("Computing Kazhdan-Lusztig polynomials for arbitrary Coxeter
-groups", Experiment. Math. 11 (2002)).  Like that program, every table derived from
-a system or from a datum over it is built once per owner, through memoized.
+groups", Experiment. Math. 11 (2002)).  The Bruhat order is one more such
+table, bruhat_below: one int bitset per element, of the elements below it,
+at most |W|^2 bits in all (128 KB at F4, |W| = 1152).  Like that program,
+every table derived from a system or from a datum over it is built once
+per owner, through memoized.
 """
 
 from __future__ import annotations
@@ -145,9 +148,6 @@ class CoxeterSystem:
         _check_cartan(self.cartan)
         self.roots = _enumerate_roots(self.cartan)
         self._root_index = {r: i for i, r in enumerate(self.roots)}
-        self._neg = tuple(
-            self._root_index[tuple(-x for x in r)] for r in self.roots
-        )
         self._positive = tuple(
             i for i, r in enumerate(self.roots) if _is_positive(r)
         )
@@ -160,7 +160,6 @@ class CoxeterSystem:
         self._identity_perm = tuple(range(len(self.roots)))
         self._elements = None
         self._words = None
-        self._leq_memo = {}
         self._cache: dict = {}
         self._simple_root_idx = tuple(
             self._root_index[tuple(1 if j == s else 0 for j in range(self.rank))]
@@ -281,34 +280,31 @@ class CoxeterSystem:
         self._left_mul = tuple(tuple(r) for r in left)
         self._lengths = tuple(x.length for x in order)
 
+    @memoized
+    def bruhat_below(self) -> tuple[int, ...]:
+        """bruhat_below()[j] has bit i set iff element i <= element j.
+
+        Built in index order by the lifting property: for a right descent s
+        of y, [e, y] = [e, ys] u [e, ys]s (Bjorner-Brenti, Combinatorics of
+        Coxeter Groups, Prop. 2.2.7).  In the breadth-first numbering ys
+        comes before y exactly when s is a right descent of y.
+        """
+        right = self.right_mul
+        below = [1]
+        for y in range(1, len(right[0])):
+            r = next(r for r in right if r[y] < y)
+            lower = below[r[y]]
+            # bin(lower)[:1:-1][x] is bit x; r permutes the indices, so the
+            # sum of these distinct powers of two is their union
+            image = sum([1 << r[x] for x, bit in enumerate(bin(lower)[:1:-1]) if bit == "1"])
+            below.append(lower | image)
+        return tuple(below)
+
     def leq_bruhat(self, x: "CoxElt", y: "CoxElt") -> bool:
-        """Bruhat order via the standard descent recursion: with s the first
-        right descent of y, x <= y iff xs <= ys when s is a right descent of
-        x, else x <= ys.  It runs on element indices through right_mul and
-        lengths, memoized by index pair, so no CoxElt is built per step."""
+        """Bruhat order: x <= y iff bit index(x) of bruhat_below()[index(y)]
+        is set, one bit test once the table is built."""
         _same_system(x, y)
-        lengths, right = self.lengths, self.right_mul
-        i, j = self.index(x), self.index(y)
-        memo = self._leq_memo
-        path = []
-        while True:
-            if lengths[i] > lengths[j]:
-                out = False
-                break
-            if i == j:
-                out = True
-                break
-            out = memo.get((i, j))
-            if out is not None:
-                break
-            path.append((i, j))
-            s = next(t for t in range(self.rank) if lengths[right[t][j]] < lengths[j])
-            if lengths[right[s][i]] < lengths[i]:
-                i = right[s][i]
-            j = right[s][j]
-        for key in path:
-            memo[key] = out
-        return out
+        return self.bruhat_below()[self.index(y)] >> self.index(x) & 1 == 1
 
 
 class CoxElt:

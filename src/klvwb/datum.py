@@ -318,6 +318,56 @@ DESCRIPTORS = {cls.__name__: cls for cls in _Descriptor.__subclasses__()}
 ASCENT_CASES = (AscentU, AscentT, AscentN)
 
 
+def _reachable(succ) -> list[int]:
+    """up[v] has bit w set iff w is reachable from v along succ, v included.
+
+    Tarjan's strongly connected components, iteratively and with Pearce's
+    single array of low links: a component is complete when its root
+    finishes, sinks first, so each member gets the union of the members'
+    bits and of the finished sets of their successors, one OR per edge.
+    Cycles, self-loops and repeated edges need no care.
+    """
+    done = len(succ) + 1  # the low link of a finished node: it lowers nothing
+    up = [0] * len(succ)
+    low = [0] * len(succ)  # the visit number, from 1, lowered along back edges
+    held = []  # finished visits whose components are not complete, in visit order
+    count = 0
+    for root in range(len(succ)):
+        if low[root]:
+            continue
+        low[root] = count = count + 1
+        work = [(root, iter(succ[root]), count)]
+        while work:
+            v, edges, first = work[-1]
+            for w in edges:
+                if not low[w]:
+                    low[w] = count = count + 1
+                    work.append((w, iter(succ[w]), count))
+                    break
+                # a w that is not done is in v's component, merged below
+                up[v] |= up[w]
+                low[v] = min(low[v], low[w])
+            else:
+                work.pop()
+                if low[v] < first:
+                    held.append(v)
+                else:  # v roots a component: itself and the held visits after it
+                    component = [v]
+                    while held and low[held[-1]] >= first:
+                        component.append(held.pop())
+                    bits = 0
+                    for m in component:
+                        bits |= 1 << m | up[m]
+                    for m in component:
+                        up[m] = bits
+                        low[m] = done
+                if work:  # the parent takes v's set and low link
+                    u = work[-1][0]
+                    up[u] |= up[v]
+                    low[u] = min(low[u], low[v])
+    return up
+
+
 class OrbitDatum:
     """Immutable-by-convention container; validate before computing."""
 
@@ -358,28 +408,17 @@ class OrbitDatum:
         # canonical basis order: by (dim, id)
         self.basis = tuple(sorted(self.params, key=lambda p: (p.dim, p.id)))
         self.basis_index = {p.id: i for i, p in enumerate(self.basis)}
-        self._up = self._reachability()
+        index = self._orbit_index = {o.id: i for i, o in enumerate(self.orbits)}
+        succ = [[] for _ in self.orbits]
+        for lo, hi in self.closure_pairs:
+            succ[index[lo]].append(index[hi])
+        self._up = _reachable(succ)
         self._cache: dict = {}
 
-    def _reachability(self):
-        adj: dict[str, set[str]] = {o.id: set() for o in self.orbits}
-        for lo, hi in self.closure_pairs:
-            adj[lo].add(hi)
-        up = {}
-        for start in adj:
-            seen = {start}
-            stack = [start]
-            while stack:
-                for nxt in adj[stack.pop()]:
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        stack.append(nxt)
-            up[start] = frozenset(seen)
-        return up
-
     def leq_orbits(self, a: str, b: str) -> bool:
-        """Closure order: a below b (reflexive-transitive hull of the pairs)."""
-        return b in self._up[a]
+        """Closure order: a below b (reflexive-transitive hull of the pairs),
+        one bit test in the bitset of the orbits above a."""
+        return self._up[self._orbit_index[a]] >> self._orbit_index[b] & 1 == 1
 
     def params_on(self, orbit_id: str):
         return self._params_on.get(orbit_id, ())
@@ -820,13 +859,10 @@ def _check_dims(d: OrbitDatum) -> CheckResult:
             problems.append(f"closure pair ({lo}, {hi}) does not increase dim")
     for o in d.orbits:
         if o.closed:
-            below = [
-                x.id
-                for x in d.orbits
-                if x.id != o.id and d.leq_orbits(x.id, o.id)
-            ]
-            if below:
-                problems.append(f"closed orbit {o.id} is not minimal (above {below[0]})")
+            below = (x.id for x in d.orbits if x.id != o.id and d.leq_orbits(x.id, o.id))
+            first = next(below, None)
+            if first is not None:
+                problems.append(f"closed orbit {o.id} is not minimal (above {first})")
     return CheckResult.of("dim-closure-consistency", problems)
 
 
@@ -941,29 +977,34 @@ def _sl2_n() -> OrbitDatum:
     )
 
 
+def _bruhat_covers(system) -> list[tuple[int, int]]:
+    """The index pairs (x, y) with x < y in Bruhat order and l(y) = l(x) + 1,
+    by x, then by y: the bits of the length below y in bruhat_below()[y]."""
+    lengths, below = system.lengths, system.bruhat_below()
+    # the elements of length l have the indices start[l] to start[l + 1] - 1
+    start = [lengths.index(l) for l in range(lengths[-1] + 1)] + [len(lengths)] * 2
+    return [
+        (x, y)
+        for x, l in enumerate(lengths)
+        for y in range(start[l + 1], start[l + 2])
+        if below[y] >> x & 1
+    ]
+
+
 def _hecke_regular(label: str) -> OrbitDatum:
     system = cox.build_system(label)
     els = system.elements()
-    tokens = {w: system.element_token(w) for w in els}
+    tokens = [system.element_token(w) for w in els]
 
-    orbits = [OrbitInfo(tokens[w], w.length, w.length == 0) for w in els]
-    params = [Parameter(tokens[w], tokens[w], "triv", w.length) for w in els]
-
-    closure = []
-    for x in els:
-        for y in els:
-            if x.length + 1 == y.length and system.leq_bruhat(x, y):
-                closure.append((tokens[x], tokens[y]))
+    orbits = [OrbitInfo(t, w.length, w.length == 0) for w, t in zip(els, tokens)]
+    params = [Parameter(t, t, "triv", w.length) for w, t in zip(els, tokens)]
+    closure = [(tokens[x], tokens[y]) for x, y in _bruhat_covers(system)]
 
     actions: dict[int, dict] = {}
     for s, left in enumerate(system.left_mul):  # generators act on the left
         rows = {}
-        for w, j in zip(els, left):
-            sw = els[j]
-            if sw.length > w.length:
-                rows[tokens[w]] = AscentU(up=tokens[sw])
-            else:
-                rows[tokens[w]] = DescentU(down=tokens[sw])
+        for i, j in enumerate(left):  # s*w comes after w exactly when it is longer
+            rows[tokens[i]] = AscentU(up=tokens[j]) if j > i else DescentU(down=tokens[j])
         actions[s] = rows
 
     # costandard by Hecke inversion: n_w = q^len(w) bar(T_w) in the T-basis,
@@ -971,12 +1012,12 @@ def _hecke_regular(label: str) -> OrbitDatum:
     # the system, which the datum keeps: the entries live on in costandard,
     # and the ext and klv paths never read the table itself.
     costandard = {
-        tokens[w]: {tokens[els[x]]: LaurentPoly._raw(p) for x, p in col.items()}
-        for w, col in zip(els, hecke._bar_table.__wrapped__(system))
+        t: {tokens[x]: LaurentPoly._raw(p) for x, p in col.items()}
+        for t, col in zip(tokens, hecke._bar_table.__wrapped__(system))
     }
 
     stab = PoincareSeries(ONE, [1] * system.rank)
-    poincare = {tokens[w]: stab for w in els}
+    poincare = {t: stab for t in tokens}
 
     return OrbitDatum(
         name=f"hecke-regular:{label}",

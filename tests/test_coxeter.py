@@ -18,13 +18,15 @@ def all_reduced_words(sys, x):
     return words
 
 
-def bruhat_leq_by_subwords(sys, x, y):
-    """Oracle: x <= y iff some subword of one reduced word of y equals x."""
+def bruhat_interval_by_subwords(sys, y):
+    """Oracle: [e, y] is the set of products of the subwords of one reduced
+    word of y (the subword property with the deletion property)."""
     word = sys.reduced_word(y)
-    for picks in itertools.combinations(range(len(word)), x.length):
-        if sys.from_word([word[i] for i in picks]) == x:
-            return True
-    return x.length == 0
+    return {
+        sys.from_word([word[i] for i in picks])
+        for k in range(len(word) + 1)
+        for picks in itertools.combinations(range(len(word)), k)
+    }
 
 
 def test_build_known_orders():
@@ -132,15 +134,27 @@ def test_bruhat_a2_examples():
 
 
 def test_bruhat_matches_subword_oracle():
-    for label in ["A2", "B2"]:
+    for label in ["A2", "B2", "G2", "A3", "C3"]:
         sys = build_system(label)
-        for x in sys.elements():
-            for y in sys.elements():
-                assert sys.leq_bruhat(x, y) == bruhat_leq_by_subwords(sys, x, y), (
+        els = sys.elements()
+        for y in els:
+            interval = bruhat_interval_by_subwords(sys, y)
+            for x in els:
+                assert sys.leq_bruhat(x, y) == (x in interval), (
                     label,
                     sys.element_token(x),
                     sys.element_token(y),
                 )
+
+
+def test_bruhat_table_at_f4():
+    # the sum of the interval sizes is the number of nonzero P_{x,w}
+    sys = build_system("F4")
+    below = sys.bruhat_below()
+    assert len(below) == 1152
+    assert sum(bits.bit_count() for bits in below) == 396809
+    assert below[0] == 1 and below[-1] == (1 << 1152) - 1
+    assert sys.bruhat_below() is below
 
 
 def test_bruhat_poset_laws():
@@ -158,6 +172,16 @@ def test_bruhat_poset_laws():
                     assert x.length <= y.length
                     if sys.leq_bruhat(y, x):
                         assert x == y
+
+
+def test_systems_and_elements_repr():
+    sys = build_system("A2")
+    assert repr(sys) == "CoxeterSystem(A2, |roots|=6)"
+    assert repr(build_system([[2, -1], [-1, 2]])) == (
+        "CoxeterSystem(cartan((2, -1), (-1, 2)), |roots|=6)"
+    )
+    assert repr(sys.identity) == "CoxElt(len=0)"
+    assert repr(sys.from_word([0, 1, 0])) == "CoxElt(len=3)"
 
 
 def test_element_tokens_round_trip():

@@ -11,6 +11,7 @@ from klvwb import hmodule as hm
 from klvwb.errors import (
     DatumError,
     DatumFormatError,
+    DatumInvalid,
     KlvwbError,
     MissingCostandard,
     MissingDescriptor,
@@ -780,6 +781,145 @@ def test_hecke_regular_other_types_validate():
         d = dm.builtin_datum(f"hecke-regular:{label}")
         report = dm.validate_datum(d)
         assert report.ok, (label, report.failed_names())
+
+
+def test_bruhat_covers_are_the_old_scan_in_its_order():
+    for label in ["A3", "C3", "D4"]:
+        sys = dm.cox.build_system(label)
+        els = sys.elements()
+        scan = [
+            (i, j)
+            for i, x in enumerate(els)
+            for j, y in enumerate(els)
+            if x.length + 1 == y.length and sys.leq_bruhat(x, y)
+        ]
+        assert dm._bruhat_covers(sys) == scan, label
+
+
+def test_bruhat_covers_at_f4():
+    assert len(dm._bruhat_covers(dm.cox.build_system("F4"))) == 6168
+
+
+def _hull(ids, pairs):
+    """Reference reflexive-transitive hull: a fixpoint over the pairs."""
+    up = {a: {a} for a in ids}
+    changed = True
+    while changed:
+        changed = False
+        for lo, hi in pairs:
+            new = up[hi] - up[lo]
+            if new:
+                up[lo] |= new
+                changed = True
+    return up
+
+
+def _with_closure(ids, pairs):
+    base = dm.builtin_datum("sl2-N")
+    orbits = [dm.OrbitInfo(i, 0, False) for i in ids]
+    return clone(base, orbits=orbits, closure_pairs=pairs)
+
+
+def _assert_hull(ids, pairs):
+    d = _with_closure(ids, pairs)
+    up = _hull(ids, pairs)
+    for a in ids:
+        for b in ids:
+            got = d.leq_orbits(a, b)
+            assert got is (b in up[a]), (a, b)
+
+
+@pytest.mark.parametrize(
+    "ids, pairs",
+    [
+        # a cycle with a way in and a way out
+        ("abcde", [("a", "b"), ("b", "c"), ("c", "a"), ("d", "a"), ("c", "e")]),
+        # self-pairs, alone and on a chain
+        ("abc", [("a", "a"), ("b", "b"), ("b", "c")]),
+        # duplicate pairs
+        ("abcd", [("a", "b")] * 3 + [("b", "c"), ("b", "c"), ("a", "b")]),
+        # two cycles joined one way, listed sinks last
+        ("abcdef", [("a", "b"), ("b", "a"), ("b", "c"), ("c", "d"), ("d", "e"), ("e", "c")]),
+        # nothing at all, and a lone orbit
+        ("abc", []),
+        ("a", [("a", "a")]),
+    ],
+)
+def test_leq_orbits_is_the_reflexive_transitive_hull(ids, pairs):
+    _assert_hull(list(ids), pairs)
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_leq_orbits_on_a_long_chain(reverse):
+    # deeper than the recursion limit, listed either way up
+    n = 3000
+    ids = [f"o{i}" for i in range(n)]
+    pairs = [(ids[i], ids[i + 1]) for i in range(n - 1)]
+    if reverse:
+        ids.reverse()
+    d = _with_closure(ids, pairs)
+    for i in (0, 1, 1499, 2998, 2999):
+        for j in (0, 1, 1500, 2998, 2999):
+            assert d.leq_orbits(f"o{i}", f"o{j}") is (i <= j)
+    # closed into one cycle, everything is below everything
+    d = _with_closure(ids, pairs + [(f"o{n - 1}", "o0")])
+    assert all(d.leq_orbits(f"o{i}", f"o{j}") for i in (0, 2999, 1234) for j in (0, 17, 2999))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 9).flatmap(
+        lambda n: st.tuples(
+            st.just([str(i) for i in range(n)]),
+            st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=20),
+        )
+    )
+)
+def test_leq_orbits_matches_the_hull_on_random_pairs(case):
+    ids, raw = case
+    _assert_hull(ids, [(ids[a], ids[b]) for a, b in raw])
+
+
+def test_a_datum_with_a_missing_action_row_is_judged_not_raised():
+    d = dm.builtin_datum("sl2-T")
+    actions = {0: dict(d.actions[0])}
+    del actions[0]["wt"]
+    bad = clone(d, actions=actions)
+    report = dm.validate_datum(bad)
+    lines = [(c.name, c.passed, c.detail) for c in report.checks]
+    assert lines == [
+        ("thm-order-reachability", False, "missing descriptor (wt, s1)"),
+        ("sstar-monotone", False, "skipped: incomplete actions"),
+        ("quadratic-relation", False, "skipped: incomplete actions"),
+        ("braid-relations", False, "skipped: incomplete actions"),
+        ("link-mirroring", False, "skipped: incomplete actions"),
+        ("costandard-involution", False, "skipped: incomplete actions"),
+        ("dim-closure-consistency", True, ""),
+        ("poincare-normalization", True, ""),
+    ]
+    with pytest.raises(DatumInvalid):
+        dm.ensure_valid(bad)
+    # the two checks that need no actions are still judged
+    poincare = dict(d.poincare)
+    poincare["ws"] = dm.PoincareSeries(parse_poly("2"), [])
+    worse = clone(bad, closure_pairs=(("0", "w"), ("w", "inf")), poincare=poincare)
+    tail = [(c.name, c.passed, c.detail) for c in dm.validate_datum(worse).checks[-2:]]
+    assert tail == [
+        (
+            "dim-closure-consistency",
+            False,
+            "closure pair (w, inf) does not increase dim; "
+            "closed orbit inf is not minimal (above 0)",
+        ),
+        ("poincare-normalization", False, "poincare[ws] constant term is not 1"),
+    ]
+
+
+def test_datum_repr():
+    assert repr(dm.builtin_datum("sl2-T")) == "OrbitDatum('sl2-T', 4 parameters)"
+    assert repr(dm.builtin_datum("hecke-regular:A2")) == (
+        "OrbitDatum('hecke-regular:A2', 6 parameters)"
+    )
 
 
 # ------------------------------------------------------------------ oracles

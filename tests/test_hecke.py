@@ -261,6 +261,24 @@ def test_verifier_catches_corruption():
     assert verify_kl_basis(KLBasis(sys, table, basis.mus)) != []
 
 
+def test_hecke_elements_print_in_length_then_word_order():
+    sys = build_system("A2")
+    h = HeckeElt(
+        sys,
+        {
+            sys.from_word([0, 1]): parse_poly("-1"),
+            sys.generator(1): Q,
+            sys.identity: parse_poly("1-q"),
+            sys.generator(0): parse_poly("q^-1"),
+        },
+    )
+    assert str(h) == "(1-q)*T[] + q^-1*T[1] + q*T[2] + (-1)*T[1,2]"
+    assert repr(h) == str(h)
+    assert str(HeckeElt(sys)) == "0"
+    with pytest.raises(TypeError, match="^HeckeElt is not hashable$"):
+        hash(h)
+
+
 def test_tokens():
     sys = build_system("A2")
     w = sys.from_word([0, 1, 0])

@@ -9,6 +9,7 @@ from klvwb import laurent
 from klvwb.errors import DomainError
 from klvwb.laurent import (
     MAX_EXPANSION_SPAN,
+    Combination,
     LaurentPoly,
     PoincareSeries,
     _den_poly,
@@ -57,6 +58,27 @@ def test_kernel_keeps_big_integers_exact():
     big = 10 ** 60
     a = {0: big, 3: -big}
     assert pmul(a, a) == {0: big * big, 3: -2 * big * big, 6: big * big}
+
+
+def test_an_int_minus_a_polynomial_and_its_truth_and_repr():
+    p = parse_poly("1-q+2q^3")
+    assert 1 - p == parse_poly("q-2q^3")
+    assert 3 - ONE == LaurentPoly.monomial(2, 0)
+    assert (0 - p) == -p
+    assert bool(p) and bool(ONE)
+    assert not LaurentPoly() and not (p - p)
+    assert repr(p) == "LaurentPoly('1-q+2q^3')"
+    assert repr(LaurentPoly()) == "LaurentPoly('0')"
+    assert repr(Q.bar()) == "LaurentPoly('q^-1')"
+
+
+def test_combinations_and_series_refuse_hashing():
+    with pytest.raises(TypeError, match="^Combination is not hashable$"):
+        hash(Combination(object(), {"k": ONE}))
+    with pytest.raises(TypeError, match="^PoincareSeries is not hashable$"):
+        hash(PoincareSeries(ONE, [1, 2]))
+    with pytest.raises(TypeError):
+        {PoincareSeries(ONE, [])}
 
 
 def test_bar_examples():
